@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "common/thread_pool.h"
 #include "detect/native_detector.h"
 #include "detect/sql_detector.h"
 #include "relational/csv_io.h"
@@ -22,11 +23,16 @@ namespace {
 
 constexpr double kNoise = 0.05;
 
-// Shared body of the three native-detection variants; `warm` attaches an
+// Shared body of the native-detection variants; `warm` attaches an
 // externally kept encoded snapshot (nullptr = whatever `options` implies,
-// building a local snapshot per Detect when the encoded path is on).
+// building a local snapshot per Detect when the encoded path is on), and
+// `pool` a worker pool built outside the timed loop (nullptr = a sharded
+// detector builds one per call). `count_only` times NativeDetector::Count
+// instead of Detect — the summary-only pass the `detect` command runs.
 void RunNativeDetect(benchmark::State& state, detect::DetectorOptions options,
-                     relational::EncodedRelation* warm) {
+                     relational::EncodedRelation* warm,
+                     common::ThreadPool* pool = nullptr,
+                     bool count_only = false) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   const auto& wl = bench::CachedCustomer(tuples, kNoise);
   const auto cfds = bench::MustParseCfds(workload::CustomerGenerator::PaperCfds());
@@ -35,9 +41,16 @@ void RunNativeDetect(benchmark::State& state, detect::DetectorOptions options,
     if (warm != nullptr) warm->Sync();
     detect::NativeDetector detector(&wl.dirty, cfds, options);
     if (warm != nullptr) detector.set_encoded(warm);
-    auto table = detector.Detect();
-    benchmark::DoNotOptimize(table);
-    total_vio = table.ok() ? table->TotalVio() : -1;
+    detector.set_thread_pool(pool);
+    if (count_only) {
+      auto counts = detector.Count();
+      benchmark::DoNotOptimize(counts);
+      total_vio = counts.ok() ? counts->total_vio : -1;
+    } else {
+      auto table = detector.Detect();
+      benchmark::DoNotOptimize(table);
+      total_vio = table.ok() ? table->TotalVio() : -1;
+    }
   }
   state.counters["tuples"] = static_cast<double>(tuples);
   state.counters["total_vio"] = static_cast<double>(total_vio);
@@ -128,21 +141,29 @@ void BM_NativeDetectColdLoad(benchmark::State& state) {
 BENCHMARK(BM_NativeDetectColdLoad)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
     ->Unit(benchmark::kMillisecond);
 
-// Thread sweep of the sharded scan over a warm snapshot: the LHS code-key
-// space partitions into num_threads shards (second Arg; 1 = the serial
-// fast path, the baseline the speedup is measured against). The output is
-// identical to serial for every point of the sweep — this measures pure
-// scan parallelism, not a semantic variant.
-void BM_NativeDetectSharded(benchmark::State& state) {
+// Warm snapshot plus a reused num_threads-lane pool (the second Arg), as
+// the server and the Semandaq facade run detection.
+void RunWithPool(benchmark::State& state, bool count_only) {
   const auto& wl =
       bench::CachedCustomer(static_cast<size_t>(state.range(0)), kNoise);
   relational::EncodedRelation encoded(&wl.dirty);
   detect::DetectorOptions options;
   options.num_threads = static_cast<size_t>(state.range(1));
-  RunNativeDetect(state, options, &encoded);
+  common::ThreadPool pool(options.num_threads);
+  RunNativeDetect(state, options, &encoded, &pool, count_only);
   // "shards", not "threads": benchmark emits its own per-run "threads" JSON
   // field and duplicate keys would make the artifact parser-dependent.
   state.counters["shards"] = static_cast<double>(state.range(1));
+}
+
+// Thread sweep of the sharded scan over a warm snapshot: the LHS code-key
+// space partitions into num_threads shards (second Arg; 1 = the serial
+// fast path, the baseline the speedup is measured against). The output is
+// identical to serial for every point of the sweep — this measures pure
+// scan parallelism, not a semantic variant. The pool is built once,
+// outside the timed loop.
+void BM_NativeDetectSharded(benchmark::State& state) {
+  RunWithPool(state, /*count_only=*/false);
 }
 BENCHMARK(BM_NativeDetectSharded)
     ->Args({64000, 1})
@@ -150,6 +171,19 @@ BENCHMARK(BM_NativeDetectSharded)
     ->Args({64000, 4})
     ->Args({64000, 8})
     ->Args({256000, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The count-only pass (NativeDetector::Count) at the serial point of the
+// sweep above: same snapshot and Sigma, no violation table. Count always
+// scans serially, so it has no thread sweep of its own. Its time against
+// BM_NativeDetectSharded/64000/1 is the count/full ratio
+// bench_simd_ratio.py records.
+void BM_NativeDetectCount(benchmark::State& state) {
+  RunWithPool(state, /*count_only=*/true);
+}
+BENCHMARK(BM_NativeDetectCount)
+    ->Args({64000, 1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -107,26 +107,42 @@ common::Result<size_t> Semandaq::Discover(const std::string& relation,
   return engine_.DiscoverFrom(relation, options);
 }
 
-common::Result<detect::ViolationTable> Semandaq::DetectErrors(
-    const std::string& relation, DetectorKind kind,
+common::Result<detect::NativeDetector> Semandaq::NativeDetectorFor(
+    const std::string& relation,
     std::optional<detect::DetectorOptions> options) {
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
                             db_.GetRelation(relation));
-  std::vector<cfd::Cfd> cfds = engine_.CfdsFor(relation);
+  const detect::DetectorOptions opts = options.value_or(detector_options_);
+  detect::NativeDetector detector(rel, engine_.CfdsFor(relation), opts);
+  common::ThreadPool* pool = PoolFor(opts.num_threads);
+  detector.set_thread_pool(pool);
+  if (relational::EncodedRelation* warm = FindWarm(relation, rel)) {
+    warm->set_thread_pool(pool);
+    warm->Sync();
+    detector.set_encoded(warm);
+  }
+  return detector;
+}
+
+common::Result<detect::ViolationTable> Semandaq::DetectErrors(
+    const std::string& relation, DetectorKind kind,
+    std::optional<detect::DetectorOptions> options) {
   if (kind == DetectorKind::kNative) {
-    const detect::DetectorOptions opts = options.value_or(detector_options_);
-    detect::NativeDetector detector(rel, std::move(cfds), opts);
-    common::ThreadPool* pool = PoolFor(opts.num_threads);
-    detector.set_thread_pool(pool);
-    if (relational::EncodedRelation* warm = FindWarm(relation, rel)) {
-      warm->set_thread_pool(pool);
-      warm->Sync();
-      detector.set_encoded(warm);
-    }
+    SEMANDAQ_ASSIGN_OR_RETURN(detect::NativeDetector detector,
+                              NativeDetectorFor(relation, options));
     return detector.Detect();
   }
-  detect::SqlDetector detector(&db_, relation, std::move(cfds));
+  SEMANDAQ_RETURN_IF_ERROR(db_.GetRelation(relation).status());
+  detect::SqlDetector detector(&db_, relation, engine_.CfdsFor(relation));
   return detector.Detect();
+}
+
+common::Result<detect::ViolationCounts> Semandaq::CountErrors(
+    const std::string& relation,
+    std::optional<detect::DetectorOptions> options) {
+  SEMANDAQ_ASSIGN_OR_RETURN(detect::NativeDetector detector,
+                            NativeDetectorFor(relation, options));
+  return detector.Count();
 }
 
 common::Result<storage::SnapshotStats> Semandaq::SaveRelation(

@@ -202,6 +202,14 @@ class Semandaq {
       const std::string& relation, DetectorKind kind = DetectorKind::kNative,
       std::optional<detect::DetectorOptions> options = std::nullopt);
 
+  /// The native detector's summary counts for one relation, without
+  /// materializing the violation table (NativeDetector::Count): what the
+  /// Session's `detect REL` prints. Equal to DetectErrors(relation,
+  /// kNative, options)->Counts().
+  common::Result<detect::ViolationCounts> CountErrors(
+      const std::string& relation,
+      std::optional<detect::DetectorOptions> options = std::nullopt);
+
   /// Facade-wide default detection options, used by DetectErrors and by
   /// every component that detects internally (Audit, Report, QualityMap,
   /// Explore). This is how a deployment opts the whole read path into
@@ -261,6 +269,12 @@ class Semandaq {
   /// serial. The shard plan still decides task counts; the pool is only
   /// the lanes they run on.
   common::ThreadPool* PoolFor(size_t num_threads);
+
+  /// A native detector over `relation` and its CFDs, wired to the shared
+  /// pool and the (synced) warm snapshot.
+  common::Result<detect::NativeDetector> NativeDetectorFor(
+      const std::string& relation,
+      std::optional<detect::DetectorOptions> options);
 
   /// The warm snapshot for `relation` if it still describes `rel` (a
   /// replaced relation drops its stale entry); nullptr otherwise.

@@ -273,8 +273,13 @@ common::Result<std::string> Session::CmdDetect(const std::vector<std::string>& a
     return Status::InvalidArgument(
         "threads=/simd= apply to the native detector only");
   }
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, sys_.DetectErrors(args[0], kind, options));
-  return table.Summary() + "\n";
+  if (kind == Semandaq::DetectorKind::kSql) {
+    SEMANDAQ_ASSIGN_OR_RETURN(auto table, sys_.DetectErrors(args[0], kind));
+    return table.Summary() + "\n";
+  }
+  // Only the summary is printed: count it, never build the table.
+  SEMANDAQ_ASSIGN_OR_RETURN(auto counts, sys_.CountErrors(args[0], options));
+  return counts.ToString() + "\n";
 }
 
 common::Result<std::string> Session::CmdMap(const std::vector<std::string>& args) {

@@ -33,12 +33,26 @@ namespace simd = common::simd;
 common::Result<ViolationTable> NativeDetector::Detect() {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
   if (!options_.use_encoded) return DetectRows();
-  if (encoded_ != nullptr && &encoded_->relation() == rel_ &&
-      encoded_->InSync()) {
-    return DetectEncoded(*encoded_);
-  }
+  if (const EncodedRelation* warm = WarmSnapshot()) return DetectEncoded(*warm);
   const EncodedRelation local(rel_, pool_, options_.cancel);
   return DetectEncoded(local);
+}
+
+common::Result<ViolationCounts> NativeDetector::Count() {
+  SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
+  if (!options_.use_encoded) {
+    SEMANDAQ_ASSIGN_OR_RETURN(const ViolationTable table, DetectRows());
+    return table.Counts();
+  }
+  if (const EncodedRelation* warm = WarmSnapshot()) return CountEncoded(*warm);
+  const EncodedRelation local(rel_, pool_, options_.cancel);
+  return CountEncoded(local);
+}
+
+const EncodedRelation* NativeDetector::WarmSnapshot() const {
+  const bool usable = encoded_ != nullptr && &encoded_->relation() == rel_ &&
+                      encoded_->InSync();
+  return usable ? encoded_ : nullptr;
 }
 
 namespace {
@@ -55,13 +69,10 @@ struct CompiledPattern {
   Code rhs_code = kAbsentCode;
 };
 
-/// One multi-tuple candidate group: the tuples sharing an LHS code key.
-/// RHS codes are not duplicated here — the column itself holds them,
-/// indexed by member tuple id.
-struct CodeBucket {
-  std::vector<TupleId> members;
-  std::vector<Code> key;  // the LHS codes
-  int first_cfd = -1;
+/// Whether a bucket has seen two distinct non-NULL RHS codes — the
+/// multi-tuple violation condition ("unknown, not wrong": NULL RHS cells
+/// never make a bucket violate on their own).
+struct DistinctRhs {
   Code first_nonnull = kAbsentCode;
   bool two_distinct = false;
 
@@ -73,6 +84,15 @@ struct CodeBucket {
       two_distinct = true;
     }
   }
+};
+
+/// One multi-tuple candidate group: the tuples sharing an LHS code key.
+/// RHS codes are not duplicated here — the column itself holds them,
+/// indexed by member tuple id.
+struct CodeBucket : DistinctRhs {
+  std::vector<TupleId> members;
+  std::vector<Code> key;  // the LHS codes
+  int first_cfd = -1;
 };
 
 /// Above this many slots the dense code-product group index would cost more
@@ -659,21 +679,190 @@ void ScanGroupSharded(const GroupScan& gs, const std::vector<TupleId>& live,
   for (ViolationGroup& vg : merged) table->AddGroup(std::move(vg));
 }
 
+/// The counting sink for single-tuple violations: tallies every record
+/// (ViolationTable::singles() keeps them all) and credits vio(t) once per
+/// (tid, cfd), as ViolationTable::AddSingle does. No hash set is needed:
+/// ScanBlock emits one tuple's tableau rows back to back, and all rows of
+/// a CFD live in one embedded-FD group, so the CFDs already credited to
+/// the current tuple are the whole deduplication state.
+struct SingleCounter {
+  size_t records = 0;
+  TupleId tid = -1;
+  std::vector<int> credited;  // CFDs already credited to `tid`
+
+  void Add(TupleId t, int ci, int64_t* vio) {
+    ++records;
+    if (t != tid) {
+      tid = t;
+      credited.clear();
+    }
+    if (std::find(credited.begin(), credited.end(), ci) != credited.end()) {
+      return;
+    }
+    credited.push_back(ci);
+    ++vio[t];
+  }
+};
+
+/// The counting sink for multi-tuple scope, fed in tuple order by the
+/// serial scan: per LHS-key bucket a member count and the DistinctRhs flag
+/// (the bucket index is ScanGroupSerial's), per in-scope tuple its bucket
+/// id — no member lists, no decoded values. Finish credits each member t
+/// of a violating bucket b with n_b - freq_b[rhs(t)], the partner count
+/// MakeGroup materializes.
+class BucketCounter {
+ public:
+  explicit BucketCounter(const GroupScan& gs) : gs_(gs), key_(gs.arity) {
+    if (gs.use_dense) dense_.assign(gs.dense_slots, kNoBucket);
+  }
+
+  void Add(TupleId tid, uint64_t packed) {
+    const uint32_t bi = BucketOf(tid, packed);
+    CountBucket& b = buckets_[bi];
+    ++b.size;
+    b.AddRhs(gs_.rhs_ptr[tid]);
+    tids_.push_back(static_cast<uint32_t>(tid));
+    bucket_of_.push_back(bi);
+  }
+
+  /// Credits the members of violating buckets to `vio`; returns how many
+  /// buckets violate (the groups Detect would emit).
+  size_t Finish(int64_t* vio);
+
+ private:
+  struct CountBucket : DistinctRhs {
+    uint32_t size = 0;
+  };
+
+  /// Bucket id of the tuple's LHS key, opening the bucket on first touch.
+  uint32_t BucketOf(TupleId tid, uint64_t packed) {
+    const auto next = static_cast<uint32_t>(buckets_.size());
+    uint32_t bi;
+    if (gs_.arity > 2) {
+      // Codes are non-NULL here: the eligibility mask proved it.
+      for (size_t i = 0; i < gs_.arity; ++i) key_[i] = gs_.lhs_ptrs()[i][tid];
+      bi = wide_.emplace(key_, next).first->second;
+    } else if (gs_.use_dense) {
+      uint32_t& entry = dense_[gs_.SlotOf(static_cast<Code>(packed >> 32),
+                                          static_cast<Code>(packed))];
+      if (entry == kNoBucket) entry = next;
+      bi = entry;
+    } else {
+      bi = narrow_.emplace(packed, next).first->second;
+    }
+    if (bi == next) buckets_.emplace_back();
+    return bi;
+  }
+
+  const GroupScan& gs_;
+  std::vector<Code> key_;
+  std::vector<uint32_t> dense_;
+  std::unordered_map<uint64_t, uint32_t> narrow_;
+  std::unordered_map<std::vector<Code>, uint32_t, CodeVecHash> wide_;
+  std::vector<CountBucket> buckets_;
+  // In-scope tuples and their bucket ids, parallel (uint32: the encoded
+  // scan caps tuple ids at 2^32).
+  std::vector<uint32_t> tids_;
+  std::vector<uint32_t> bucket_of_;
+};
+
+size_t BucketCounter::Finish(int64_t* vio) {
+  // Counting sort: lay the members of violating buckets out bucket by
+  // bucket, at offsets that are prefix sums of the sizes; the members of
+  // the other buckets drop out. end[b] starts as bucket b's offset and
+  // ends one past its last member.
+  std::vector<uint32_t> end(buckets_.size(), kNoBucket);
+  uint32_t total = 0;
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    if (!buckets_[b].two_distinct) continue;
+    end[b] = total;
+    total += buckets_[b].size;
+  }
+  if (total == 0) return 0;
+  std::vector<uint32_t> members(total);
+  for (size_t i = 0; i < tids_.size(); ++i) {
+    uint32_t& e = end[bucket_of_[i]];
+    if (e != kNoBucket) members[e++] = tids_[i];
+  }
+
+  // Per violating bucket, MakeGroup's histogram pass over one reused freq
+  // array. NULL cells share kNullCode, so code equality is MakeGroup's
+  // exact Value equality.
+  const Code* rhs = gs_.rhs_ptr;
+  std::vector<int64_t> freq(gs_.enc->dictionary(gs_.rhs_col).size() + 1, 0);
+  size_t groups = 0;
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    if (!buckets_[b].two_distinct) continue;
+    ++groups;
+    const uint32_t* last = members.data() + end[b];
+    const uint32_t* first = last - buckets_[b].size;
+    const int64_t n = buckets_[b].size;
+    for (const uint32_t* m = first; m != last; ++m) ++freq[rhs[*m]];
+    for (const uint32_t* m = first; m != last; ++m) {
+      vio[*m] += n - freq[rhs[*m]];
+    }
+    for (const uint32_t* m = first; m != last; ++m) freq[rhs[*m]] = 0;
+  }
+  return groups;
+}
+
+/// The count-only body: ScanGroupSerial's scan feeding the counting sinks.
+void CountGroupSerial(const GroupScan& gs, int64_t* vio,
+                      ViolationCounts* counts) {
+  BucketCounter buckets(gs);
+  SingleCounter singles;
+  ScanScratch sc;
+  sc.Prepare(gs);
+  ScanRange(
+      gs, 0, gs.enc->IdBound(), &sc,
+      [&](TupleId tid, int ci, int) { singles.Add(tid, ci, vio); },
+      [&](TupleId tid, int, uint64_t packed) { buckets.Add(tid, packed); });
+  counts->singles += singles.records;
+  counts->groups += buckets.Finish(vio);
+}
+
+/// The kernel id-emission space is uint32 (simd::Kernels::FilterEq32 takes
+/// a uint32 base). TupleId is int64 by design, but an encoded in-memory
+/// relation past 2^32 ids is outside this detector's envelope (codes are
+/// uint32 too); fail loudly instead of wrapping tuple ids.
+common::Status CheckIdSpace(const EncodedRelation& enc) {
+  if (static_cast<uint64_t>(enc.IdBound()) <= UINT32_MAX) {
+    return common::Status::OK();
+  }
+  return common::Status::InvalidArgument(
+      "encoded detection supports at most 2^32 tuple ids; relation '" +
+      enc.relation().name() + "' has id bound " +
+      std::to_string(enc.IdBound()));
+}
+
+/// The encoded pass Detect and Count share: compiles each embedded-FD group
+/// and hands it to scan(gs). A tripped cancel token fails the pass — also
+/// one that tripped inside the last group's kernel blocks, whose output is
+/// then truncated and must not escape.
+template <typename ScanFn>
+common::Status ForEachGroupScan(const EncodedRelation& enc,
+                                const std::vector<Cfd>& cfds,
+                                const DetectorOptions& options,
+                                const ScanFn& scan) {
+  const simd::Kernels& kn = simd::KernelsFor(options.simd_level);
+  const std::vector<EmbeddedFdGroup> groups = cfd::GroupByEmbeddedFd(cfds);
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    SEMANDAQ_RETURN_IF_CANCELLED(options.cancel);
+    GroupScan gs;
+    if (!CompileGroup(enc, cfds, groups[gi], gi, kn, &gs)) continue;
+    gs.want_rhs = options.materialize_group_rhs;
+    gs.cancel = options.cancel;
+    scan(gs);
+  }
+  SEMANDAQ_RETURN_IF_CANCELLED(options.cancel);
+  return common::Status::OK();
+}
+
 }  // namespace
 
 common::Result<ViolationTable> NativeDetector::DetectEncoded(
     const EncodedRelation& enc) {
-  ViolationTable table;
-  // The kernel id-emission space is uint32 (simd::Kernels::FilterEq32
-  // takes a uint32 base). TupleId is int64 by design, but an encoded
-  // in-memory relation past 2^32 ids is outside this detector's envelope
-  // (codes are uint32 too); fail loudly instead of wrapping tuple ids.
-  if (static_cast<uint64_t>(enc.IdBound()) > UINT32_MAX) {
-    return common::Status::InvalidArgument(
-        "encoded detection supports at most 2^32 tuple ids; relation '" +
-        rel_->name() + "' has id bound " + std::to_string(enc.IdBound()));
-  }
-  const simd::Kernels& kn = simd::KernelsFor(options_.simd_level);
+  SEMANDAQ_RETURN_IF_ERROR(CheckIdSpace(enc));
 
   // One shard plan for the whole CFD batch. The worker pool is the
   // facade-owned one when attached (reused across Detect calls); only a
@@ -690,23 +879,34 @@ common::Result<ViolationTable> NativeDetector::DetectEncoded(
     pool = &*local_pool;
   }
 
-  const std::vector<EmbeddedFdGroup> groups = cfd::GroupByEmbeddedFd(cfds_);
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
-    GroupScan gs;
-    if (!CompileGroup(enc, cfds_, groups[gi], gi, kn, &gs)) continue;
-    gs.want_rhs = options_.materialize_group_rhs;
-    gs.cancel = options_.cancel;
-    if (plan.sharded()) {
-      ScanGroupSharded(gs, live, plan, pool, &table);
-    } else {
-      ScanGroupSerial(gs, &table);
-    }
-  }
-  // A cancel that tripped inside the last group's kernel blocks left the
-  // table truncated; surface it rather than returning partial output.
-  SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
+  ViolationTable table;
+  SEMANDAQ_RETURN_IF_ERROR(
+      ForEachGroupScan(enc, cfds_, options_, [&](const GroupScan& gs) {
+        if (plan.sharded()) {
+          ScanGroupSharded(gs, live, plan, pool, &table);
+        } else {
+          ScanGroupSerial(gs, &table);
+        }
+      }));
   return table;
+}
+
+common::Result<ViolationCounts> NativeDetector::CountEncoded(
+    const EncodedRelation& enc) {
+  SEMANDAQ_RETURN_IF_ERROR(CheckIdSpace(enc));
+  ViolationCounts counts;
+  // vio(t) by tuple id across every group, so a tuple violating several
+  // CFDs counts once among the violating tuples.
+  std::vector<int64_t> vio(static_cast<size_t>(enc.IdBound()), 0);
+  SEMANDAQ_RETURN_IF_ERROR(
+      ForEachGroupScan(enc, cfds_, options_, [&](const GroupScan& gs) {
+        CountGroupSerial(gs, vio.data(), &counts);
+      }));
+  for (const int64_t v : vio) {
+    if (v > 0) ++counts.violating_tuples;
+    counts.total_vio += v;
+  }
+  return counts;
 }
 
 common::Result<ViolationTable> NativeDetector::DetectRows() {

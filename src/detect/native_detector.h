@@ -115,6 +115,17 @@ class NativeDetector {
   /// Full-relation detection pass.
   common::Result<ViolationTable> Detect();
 
+  /// The same pass reduced to its summary: equal to Detect()->Counts(),
+  /// so Count()->ToString() == Detect()->Summary() byte for byte, for every
+  /// option setting. The encoded path runs the same compiled groups, SIMD
+  /// kernels and cancel checkpoints as Detect but never materializes the
+  /// table — no member lists, no decoded RHS values — so callers that only
+  /// report the counts (the `detect` command) pay a fraction of Detect's
+  /// cost. It always scans serially: options.num_threads is ignored, as
+  /// DetectRows ignores it. The row path (use_encoded = false) counts a
+  /// full DetectRows table.
+  common::Result<ViolationCounts> Count();
+
   /// The resolved CFDs in detector order (index space of SingleViolation).
   const std::vector<cfd::Cfd>& cfds() const { return cfds_; }
 
@@ -122,6 +133,10 @@ class NativeDetector {
   common::Result<ViolationTable> DetectRows();
   common::Result<ViolationTable> DetectEncoded(
       const relational::EncodedRelation& enc);
+  common::Result<ViolationCounts> CountEncoded(
+      const relational::EncodedRelation& enc);
+  /// The attached snapshot when it is usable for rel_, else nullptr.
+  const relational::EncodedRelation* WarmSnapshot() const;
 
   const relational::Relation* rel_;
   std::vector<cfd::Cfd> cfds_;

@@ -108,11 +108,16 @@ std::vector<relational::TupleId> ViolationTable::ViolatingTuples() const {
   return out;
 }
 
-std::string ViolationTable::Summary() const {
-  return std::to_string(singles_.size()) + " single-tuple violation(s), " +
-         std::to_string(groups_.size()) + " multi-tuple group(s), " +
-         std::to_string(NumViolatingTuples()) + " violating tuple(s), total vio " +
-         std::to_string(total_);
+ViolationCounts ViolationTable::Counts() const {
+  return ViolationCounts{singles_.size(), groups_.size(), num_violating_,
+                         total_};
+}
+
+std::string ViolationCounts::ToString() const {
+  return std::to_string(singles) + " single-tuple violation(s), " +
+         std::to_string(groups) + " multi-tuple group(s), " +
+         std::to_string(violating_tuples) + " violating tuple(s), total vio " +
+         std::to_string(total_vio);
 }
 
 }  // namespace semandaq::detect

@@ -1,6 +1,7 @@
 #ifndef SEMANDAQ_DETECT_VIOLATION_H_
 #define SEMANDAQ_DETECT_VIOLATION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -42,6 +43,25 @@ struct ViolationGroup {
   /// on dictionary codes fill it from integer counts; when absent (size
   /// mismatch), AddGroup derives it from member_rhs by value hashing.
   std::vector<int64_t> member_partners;
+};
+
+/// The summary of one detection pass: the four numbers `detect` reports.
+/// NativeDetector::Count produces it without materializing a
+/// ViolationTable; ViolationTable::Counts derives it from a full table.
+/// Both render through ToString, so the two summaries are byte-identical
+/// whenever the counts agree.
+struct ViolationCounts {
+  /// Single-tuple violation records, one per (tid, cfd, tableau row) —
+  /// ViolationTable::singles().size(), not deduplicated per CFD.
+  size_t singles = 0;
+  /// Multi-tuple violation groups.
+  size_t groups = 0;
+  /// Distinct tuples with vio(t) > 0.
+  size_t violating_tuples = 0;
+  /// Sum of vio(t) over all tuples.
+  int64_t total_vio = 0;
+
+  std::string ToString() const;
 };
 
 /// The error detector's output: per-tuple violation counts vio(t) plus the
@@ -86,7 +106,8 @@ class ViolationTable {
   /// All violating tuple ids, ascending.
   std::vector<relational::TupleId> ViolatingTuples() const;
 
-  std::string Summary() const;
+  ViolationCounts Counts() const;
+  std::string Summary() const { return Counts().ToString(); }
 
  private:
   /// Grows the dense per-tuple vio array to cover `tid`.

@@ -389,14 +389,13 @@ common::Result<std::string> SemandaqService::CmdDetect(
   SnapshotPtr snap = Pin(args[0]);
   if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
   std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  ThreadLease lease = scheduler_.Acquire(options.num_threads);
-  options.num_threads = lease.lanes();
   options.cancel = cancel;
   detect::NativeDetector detector(&snap->relation, std::move(cfds), options);
-  detector.set_thread_pool(lease.pool());
   detector.set_encoded(&*snap->encoded);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, detector.Detect());
-  return table.Summary() + "\n";
+  // `detect` reports only the summary, so the count path never builds the
+  // violation table. Count scans serially, so no worker lanes are leased.
+  SEMANDAQ_ASSIGN_OR_RETURN(auto counts, detector.Count());
+  return counts.ToString() + "\n";
 }
 
 common::Result<std::string> SemandaqService::CmdMine(

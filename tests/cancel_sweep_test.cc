@@ -208,6 +208,22 @@ TEST(CancelSweepTest, DetectShardedIsAllOrNothing) {
   });
 }
 
+TEST(CancelSweepTest, CountIsAllOrNothing) {
+  const Relation rel = testing::PaperCustomerRelation();
+  const std::string before = Fingerprint(rel);
+  SweepCheckpoints("count", [&](CancelToken* token)
+                                -> common::Result<std::string> {
+    detect::DetectorOptions options;
+    options.cancel = token;
+    detect::NativeDetector detector(&rel, Parse(testing::PaperCfdText()),
+                                    options);
+    auto counts = detector.Count();
+    EXPECT_EQ(Fingerprint(rel), before);  // counting never writes
+    if (!counts.ok()) return counts.status();
+    return counts->ToString();
+  });
+}
+
 TEST(CancelSweepTest, MineIsAllOrNothing) {
   const Relation rel = testing::PaperCustomerRelation();
   const std::string before = Fingerprint(rel);
@@ -294,6 +310,9 @@ TEST(CancelSweepTest, ExpiredDeadlineSurfacesAsDeadlineExceeded) {
   auto table = detector.Detect();
   ASSERT_FALSE(table.ok());
   EXPECT_EQ(table.status().code(), StatusCode::kDeadlineExceeded);
+  auto counts = detector.Count();
+  ASSERT_FALSE(counts.ok());
+  EXPECT_EQ(counts.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

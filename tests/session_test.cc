@@ -61,6 +61,27 @@ TEST(SessionTest, FullPipeline) {
   EXPECT_NE(Exec(&s, "detect customer").find("total vio 0"), std::string::npos);
 }
 
+TEST(SessionTest, DetectCountsMatchTheFullTableWithDeletedRows) {
+  // `detect REL` prints counts from the count-only pass; they must equal
+  // the full table's summary, serial and sharded, after deletions.
+  Session s;
+  Exec(&s, "gen customer 3000 10");
+  Exec(&s, "cfd customer: [CNT, ZIP] -> [CITY]");
+  Exec(&s, "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
+  Exec(&s, "detect customer");  // warms the encoded snapshot
+  relational::Relation* rel =
+      s.system().database().FindMutableRelation("customer");
+  ASSERT_NE(rel, nullptr);
+  for (relational::TupleId tid = 0; tid < rel->IdBound(); tid += 3) {
+    ASSERT_OK(rel->Delete(tid));
+  }
+  auto table = s.system().DetectErrors("customer");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const std::string expected = table->Summary() + "\n";
+  EXPECT_EQ(Exec(&s, "detect customer"), expected);
+  EXPECT_EQ(Exec(&s, "detect customer threads=4"), expected);
+}
+
 TEST(SessionTest, DiffApplyRequirePendingRepair) {
   Session s;
   EXPECT_FALSE(s.Execute("diff").ok());

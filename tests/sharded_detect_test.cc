@@ -3,8 +3,11 @@
 // re-establishes the serial first-touch order, so the sharded ViolationTable
 // must be *exactly* the serial one — same singles in the same sequence, same
 // groups in the same sequence with the same member order — for every thread
-// count, not merely equivalent up to reordering.
+// count, not merely equivalent up to reordering. The count-only pass
+// (NativeDetector::Count, serial whatever num_threads says) must print the
+// serial table's Summary() at every thread count too.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +84,22 @@ ViolationTable DetectWith(const Relation& rel, const std::vector<cfd::Cfd>& cfds
   return table.ok() ? std::move(*table) : ViolationTable{};
 }
 
+/// The count-only pass (NativeDetector::Count), rendered as `detect`
+/// prints it; it must equal the serial Detect's Summary().
+std::string CountWith(const Relation& rel, const std::vector<cfd::Cfd>& cfds,
+                      size_t num_threads,
+                      const EncodedRelation* warm = nullptr) {
+  DetectorOptions options;
+  options.num_threads = num_threads;
+  NativeDetector detector(&rel, cfds, options);
+  if (warm != nullptr) detector.set_encoded(warm);
+  auto counts = detector.Count();
+  EXPECT_TRUE(counts.ok()) << counts.status().ToString();
+  return counts.ok() ? counts->ToString() : std::string();
+}
+
+const size_t kCountThreads[] = {1, 2, 4, 0};
+
 void ExpectShardedMatchesSerial(const Relation& rel,
                                 const std::vector<cfd::Cfd>& cfds) {
   const ViolationTable serial = DetectWith(rel, cfds, 1);
@@ -90,6 +109,10 @@ void ExpectShardedMatchesSerial(const Relation& rel,
   }
   // 0 = one lane per hardware thread (whatever this host has).
   ExpectExactlyEqual(serial, DetectWith(rel, cfds, 0), rel);
+  for (const size_t threads : kCountThreads) {
+    EXPECT_EQ(CountWith(rel, cfds, threads), serial.Summary())
+        << "Count at num_threads=" << threads;
+  }
 }
 
 TEST(ShardedDetectTest, MatchesSerialOnNoisyCustomer) {
@@ -122,6 +145,8 @@ TEST(ShardedDetectTest, MatchesSerialThroughWarmSnapshot) {
   const EncodedRelation warm(&wl.dirty);
   const ViolationTable serial = DetectWith(wl.dirty, cfds, 1, &warm);
   ExpectExactlyEqual(serial, DetectWith(wl.dirty, cfds, 4, &warm), wl.dirty);
+  EXPECT_EQ(CountWith(wl.dirty, cfds, 1, &warm), serial.Summary());
+  EXPECT_EQ(CountWith(wl.dirty, cfds, 4, &warm), serial.Summary());
 }
 
 TEST(ShardedDetectTest, EmptyRelation) {
@@ -132,6 +157,7 @@ TEST(ShardedDetectTest, EmptyRelation) {
     EXPECT_EQ(table.TotalVio(), 0) << threads << " threads";
     EXPECT_TRUE(table.groups().empty());
     EXPECT_TRUE(table.singles().empty());
+    EXPECT_EQ(CountWith(rel, cfds, threads), table.Summary());
   }
 }
 
@@ -150,6 +176,65 @@ TEST(ShardedDetectTest, SingleGroupLandsInOneShard) {
   for (const size_t threads : {size_t{2}, size_t{4}, size_t{7}}) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
     ExpectExactlyEqual(serial, DetectWith(rel, cfds, threads), rel);
+    EXPECT_EQ(CountWith(rel, cfds, threads), serial.Summary());
+  }
+}
+
+TEST(ShardedDetectTest, CountMatchesDetectOnEdgeCases) {
+  // The counting sinks on the inputs that stress them: tombstones, NULL
+  // LHS and RHS cells, a wide (hashed) key, constant-only Sigma, LHS
+  // constants no tuple carries, and one tuple flagged by several rows of
+  // one CFD (vio counts it once per CFD).
+  workload::CustomerWorkloadOptions opts;
+  opts.num_tuples = 6000;
+  opts.noise_rate = 0.10;
+  opts.seed = 24;
+  auto wl = workload::CustomerGenerator::Generate(opts);
+  Relation& rel = wl.dirty;
+  const size_t city = 2, zip = 3;
+  for (TupleId tid = 0; tid < rel.IdBound(); ++tid) {
+    if (tid % 9 == 4) {
+      ASSERT_OK(rel.Delete(tid));
+    } else if (tid % 13 == 6) {
+      ASSERT_OK(rel.SetCell(tid, zip, Value::Null()));
+    } else if (tid % 17 == 8) {
+      ASSERT_OK(rel.SetCell(tid, city, Value::Null()));
+    }
+  }
+  const std::string sigmas[] = {
+      workload::CustomerGenerator::PaperCfds(),
+      "customer: [CNT, CITY, ZIP] -> [STR]\n"
+      "customer: [NAME, CNT, ZIP] -> [CITY]",
+      "customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }\n"
+      "customer: [CNT=UK] -> [AC=131]",
+      "customer: [CNT, ZIP] -> [CITY] { (Atlantis, _ | _), (UK, _ | _) }\n"
+      "customer: [CC] -> [CNT] { (999 | UK), (44 | UK) }",
+      "customer: [CC, CNT] -> [AC] { (44, _ | 1), (_, UK | 2) }\n"
+      "customer: [CNT] -> [AC] { (UK | 3) }",
+  };
+  for (const std::string& text : sigmas) {
+    SCOPED_TRACE(text);
+    const auto cfds = Parse(text);
+    const ViolationTable serial = DetectWith(rel, cfds, 1);
+    EXPECT_GT(serial.TotalVio(), 0);
+    for (const size_t threads : kCountThreads) {
+      EXPECT_EQ(CountWith(rel, cfds, threads), serial.Summary())
+          << "Count at num_threads=" << threads;
+    }
+  }
+
+  // Thousands of small violating buckets over a wide RHS domain.
+  Relation wide("w", relational::Schema::AllStrings({"K", "V"}));
+  for (int i = 0; i < 6000; ++i) {
+    wide.MustInsert({Value::String("k" + std::to_string(i / 3)),
+                     Value::String(i % 3 == 0 ? "shared" : std::to_string(i))});
+  }
+  const auto fd = Parse("w: [K] -> [V]");
+  const ViolationTable serial = DetectWith(wide, fd, 1);
+  EXPECT_EQ(serial.groups().size(), 2000u);
+  for (const size_t threads : kCountThreads) {
+    EXPECT_EQ(CountWith(wide, fd, threads), serial.Summary())
+        << "Count at num_threads=" << threads;
   }
 }
 

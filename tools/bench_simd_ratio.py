@@ -17,9 +17,11 @@ host clamping), computes time(scalar) / time(best vector tier) per tuple
 count, and writes them back into BENCH_detect.json under "simd_ratios".
 When the partition JSON is given, its BM_PartitionBuildSimd runs are merged
 into the detect artifact (one file carries the whole record) and their
-ratios are included. Exits nonzero only on malformed input — shared CI
-runners are too noisy for a hard perf gate; the acceptance ratio is judged
-from the recorded artifact.
+ratios are included. The count-only detector's speedup,
+time(BM_NativeDetectSharded) / time(BM_NativeDetectCount) at each shared
+tuples/shards point, goes under "count_ratios". Exits nonzero only on
+malformed input — shared CI runners are too noisy for a hard perf gate;
+the acceptance ratio is judged from the recorded artifact.
 """
 
 import json
@@ -54,6 +56,25 @@ def ratios(benchmarks, prefix):
     return out
 
 
+def count_ratios(benchmarks):
+    """{"tuples/shards" -> full Detect time / Count time} at equal inputs."""
+    families = ("BM_NativeDetectSharded", "BM_NativeDetectCount")
+    runs = {}
+    for b in benchmarks:
+        parts = b.get("name", "").split("/")
+        if (b.get("run_type") == "aggregate" or parts[0] not in families
+                or len(parts) < 3):
+            continue
+        runs.setdefault("/".join(parts[1:3]), {})[parts[0]] = b["real_time"]
+    out = {}
+    for point, by_family in runs.items():
+        full, count = (by_family.get(f) for f in families)
+        if full and count:
+            out[point] = {"detect_ms": full, "count_ms": count,
+                          "detect_over_count": round(full / count, 3)}
+    return out
+
+
 def main(argv):
     build_type = None
     args = []
@@ -84,6 +105,7 @@ def main(argv):
         "BM_PartitionBuildSimd": ratios(detect.get("benchmarks", []),
                                         "BM_PartitionBuildSimd"),
     }
+    detect["count_ratios"] = count_ratios(detect.get("benchmarks", []))
     with open(detect_path, "w") as f:
         json.dump(detect, f, indent=1)
     for family, groups in detect["simd_ratios"].items():
@@ -91,6 +113,9 @@ def main(argv):
             print(f"{family}/{group}: scalar {r['scalar_ms']:.3f} ms, "
                   f"vector(level {r['vector_level']}) {r['vector_ms']:.3f} ms "
                   f"-> {r['scalar_over_vector']}x")
+    for point, r in sorted(detect["count_ratios"].items()):
+        print(f"count/{point}: detect {r['detect_ms']:.3f} ms, "
+              f"count {r['count_ms']:.3f} ms -> {r['detect_over_count']}x")
     return 0
 
 
