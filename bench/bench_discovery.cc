@@ -171,25 +171,6 @@ BENCHMARK(BM_FdMine)
     ->Args({64000, 4, 2})
     ->Unit(benchmark::kMillisecond);
 
-// Single-thread A/B of the e(X) == e(X∪A) early-exit: the same serial
-// sweep with the error test disabled, deciding every candidate by the
-// stripped-class walk. Compare against BM_FdMine/64000/1/<tier>.
-void BM_FdMineClassWalk(benchmark::State& state) {
-  const auto& wl = bench::CachedCustomer(64000, 0.0, /*seed=*/24);
-  discovery::FdMinerOptions opts;
-  opts.max_lhs = 3;
-  opts.use_error_exit = false;
-  opts.simd_level = static_cast<semandaq::common::simd::Level>(state.range(0));
-  for (auto _ : state) {
-    discovery::FdMiner miner(&wl.clean, opts);
-    auto fds = miner.Mine();
-    benchmark::DoNotOptimize(fds);
-  }
-  state.counters["simd_level"] = static_cast<double>(
-      semandaq::common::simd::KernelsFor(opts.simd_level).level);
-}
-BENCHMARK(BM_FdMineClassWalk)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
-
 // Full CfdMiner::Mine (constant + variable CFDs, embedded FD run) over the
 // same axes: range(0) = tuples, range(1) = num_threads, range(2) = kernel
 // tier. The evidence scans are what the tier moves; the candidate fan-out

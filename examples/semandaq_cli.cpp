@@ -1,5 +1,6 @@
-// Interactive command shell over the Semandaq session layer — the
-// command-line stand-in for the paper's web-based data explorer.
+// Interactive command shell over the Semandaq command grammar — the
+// command-line stand-in for the paper's web-based data explorer. It runs
+// the same server::SemandaqService the TCP server runs, with one session.
 //
 //   ./build/examples/semandaq_cli                 # run the built-in demo
 //   ./build/examples/semandaq_cli -               # read commands from stdin
@@ -11,12 +12,15 @@
 #include <iostream>
 #include <string>
 
-#include "core/session.h"
+#include "server/service.h"
 
 namespace {
 
-int RunCommand(semandaq::core::Session* session, const std::string& line) {
-  auto out = session->Execute(line);
+using semandaq::server::SemandaqService;
+
+int RunCommand(SemandaqService* service, SemandaqService::SessionState* session,
+               const std::string& line) {
+  auto out = service->Execute(session, line);
   if (!out.ok()) {
     std::printf("error: %s\n", out.status().ToString().c_str());
     return 1;
@@ -45,20 +49,21 @@ constexpr const char* kDemoScript[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  semandaq::core::Session session;
+  SemandaqService service;
+  SemandaqService::SessionState session;
 
   if (argc > 1 && std::string(argv[1]) == "-") {
     std::string line;
     while (std::getline(std::cin, line)) {
       if (line == "quit" || line == "exit") break;
-      RunCommand(&session, line);
+      RunCommand(&service, &session, line);
     }
     return 0;
   }
   if (argc > 1) {
     for (int i = 1; i < argc; ++i) {
       std::printf(">> %s\n", argv[i]);
-      if (RunCommand(&session, argv[i]) != 0) return 1;
+      if (RunCommand(&service, &session, argv[i]) != 0) return 1;
     }
     return 0;
   }
@@ -66,7 +71,7 @@ int main(int argc, char** argv) {
               "use '-' for stdin mode)\n\n");
   for (const char* line : kDemoScript) {
     std::printf(">> %s\n", line);
-    RunCommand(&session, line);
+    RunCommand(&service, &session, line);
     std::printf("\n");
   }
   return 0;

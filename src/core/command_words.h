@@ -12,11 +12,11 @@
 
 namespace semandaq::core {
 
-/// The lexical layer shared by every text-command surface over the facade:
-/// the single-process core::Session and the server's SemandaqService speak
-/// the same grammar, so they split lines and parse option words with the
-/// same helpers (a `detect REL threads=N` frame sent over the wire means
-/// exactly what the same line means at the CLI).
+/// The lexical layer of the command grammar (server/service.h): how a
+/// command line splits into words and how option words parse. The CLI and
+/// the TCP server both run that one grammar, so a `detect REL threads=N`
+/// frame sent over the wire means exactly what the same line means at the
+/// CLI.
 
 /// Splits a command line on whitespace (no quoting; the `cfd` and `sql`
 /// commands take the raw remainder instead).

@@ -15,10 +15,10 @@ common::ThreadPool* Semandaq::PoolFor(size_t num_threads) {
   if (num_threads == 1) return nullptr;
   if (pool_ == nullptr) {
     pool_ = std::make_unique<common::ThreadPool>(common::ResolveThreadCount(0));
-    // Discovery can share the facade pool: once it exists, Discover /
-    // DiscoverFrom calls with num_threads == 0 fan their levelwise sweep
-    // out over it (explicit N >= 2 runs a private N-lane pool instead,
-    // and the default of 1 mines serially).
+    // Discovery can share the facade pool: once it exists, DiscoverFrom
+    // calls with num_threads == 0 fan their levelwise sweep out over it
+    // (explicit N >= 2 runs a private N-lane pool instead, and the default
+    // of 1 mines serially).
     engine_.set_thread_pool(pool_.get());
   }
   return pool_.get();
@@ -47,14 +47,13 @@ relational::EncodedRelation* Semandaq::WarmSnapshot(
 relational::EncodedRelation* Semandaq::WarmOrEncode(const std::string& relation) {
   relational::Relation* rel = db_.FindMutableRelation(relation);
   if (rel == nullptr) return nullptr;
-  common::ThreadPool* pool = PoolFor(detector_options_.num_threads);
   relational::EncodedRelation* warm = FindWarm(relation, rel);
   if (warm == nullptr) {
-    auto enc = std::make_unique<relational::EncodedRelation>(rel, pool);
+    auto enc = std::make_unique<relational::EncodedRelation>(rel);
     warm = enc.get();
     warm_[common::ToLower(relation)] = std::move(enc);
   } else {
-    warm->set_thread_pool(pool);
+    warm->set_thread_pool(nullptr);
     warm->Sync();
   }
   return warm;
@@ -94,25 +93,13 @@ common::Status Semandaq::AttachWal(const std::string& relation,
   return Status::OK();
 }
 
-common::Result<size_t> Semandaq::Discover(const std::string& relation,
-                                          discovery::CfdMinerOptions options) {
-  // Only num_threads == 0 ("all hardware threads") borrows the shared
-  // hardware-width pool; an explicit N >= 2 is left for the miner to
-  // honor with a private N-lane pool (mirroring the detect path, where
-  // threads=N really runs N shards), and 1 stays serial. Output is
-  // identical for every lane count.
-  if (options.pool == nullptr && options.num_threads == 0) {
-    options.pool = PoolFor(options.num_threads);
-  }
-  return engine_.DiscoverFrom(relation, options);
-}
-
 common::Result<detect::NativeDetector> Semandaq::NativeDetectorFor(
     const std::string& relation,
     std::optional<detect::DetectorOptions> options) {
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
                             db_.GetRelation(relation));
-  const detect::DetectorOptions opts = options.value_or(detector_options_);
+  const detect::DetectorOptions opts =
+      options.value_or(detect::DetectorOptions{});
   detect::NativeDetector detector(rel, engine_.CfdsFor(relation), opts);
   common::ThreadPool* pool = PoolFor(opts.num_threads);
   detector.set_thread_pool(pool);
@@ -135,14 +122,6 @@ common::Result<detect::ViolationTable> Semandaq::DetectErrors(
   SEMANDAQ_RETURN_IF_ERROR(db_.GetRelation(relation).status());
   detect::SqlDetector detector(&db_, relation, engine_.CfdsFor(relation));
   return detector.Detect();
-}
-
-common::Result<detect::ViolationCounts> Semandaq::CountErrors(
-    const std::string& relation,
-    std::optional<detect::DetectorOptions> options) {
-  SEMANDAQ_ASSIGN_OR_RETURN(detect::NativeDetector detector,
-                            NativeDetectorFor(relation, options));
-  return detector.Count();
 }
 
 common::Result<storage::SnapshotStats> Semandaq::SaveRelation(
@@ -263,7 +242,6 @@ common::Result<Semandaq::OpenStats> Semandaq::OpenRelation(
     (void)db_.DropRelation(name);
     return wal.status();
   }
-  enc->set_thread_pool(PoolFor(detector_options_.num_threads));
   enc->set_cancel(cancel);
   enc->Sync();
   enc->set_cancel(nullptr);  // the token's life ends with this request
@@ -317,10 +295,10 @@ common::Result<repair::RepairResult> Semandaq::Clean(const std::string& relation
                                                      repair::CostModelOptions cost) {
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
                             db_.GetRelation(relation));
-  // Same lane policy as Discover: only num_threads == 0 borrows the shared
-  // hardware-width pool; an explicit N >= 2 gets a private N-lane pool from
-  // the repair engine itself, and 1 repairs serially. The RepairResult is
-  // byte-identical for every lane count.
+  // Same lane policy as DiscoverFrom: only num_threads == 0 borrows the
+  // shared hardware-width pool; an explicit N >= 2 gets a private N-lane
+  // pool from the repair engine itself, and 1 repairs serially. The
+  // RepairResult is byte-identical for every lane count.
   if (options.pool == nullptr && options.num_threads == 0) {
     options.pool = PoolFor(options.num_threads);
   }
@@ -344,6 +322,13 @@ common::Status Semandaq::ApplyRepair(const std::string& relation,
                                      const repair::RepairResult& result) {
   relational::Relation* rel = db_.FindMutableRelation(relation);
   if (rel == nullptr) return Status::NotFound("no relation named " + relation);
+  // Validate every change before writing any: a repair whose tuple was
+  // deleted since `clean` must leave the relation (and its WAL) untouched,
+  // not half-applied.
+  for (const repair::CellChange& ch : result.changes) {
+    SEMANDAQ_RETURN_IF_ERROR(rel->CheckLive(ch.tid, "update"));
+    SEMANDAQ_RETURN_IF_ERROR(rel->CheckColumn(ch.col));
+  }
   for (const repair::CellChange& ch : result.changes) {
     SEMANDAQ_RETURN_IF_ERROR(rel->SetCell(ch.tid, ch.col, ch.repaired));
   }

@@ -32,7 +32,8 @@ namespace semandaq::core {
 /// data monitor, and the (programmatic) data explorer, over the relational
 /// substrate standing in for the database servers. The data flow between
 /// the components is diagrammed in docs/architecture.md; the text-command
-/// wrapper over this facade is core/session.h.
+/// grammar over this facade is server::SemandaqService (server/service.h),
+/// which the CLI and the TCP server both run.
 ///
 /// Typical session, mirroring the demonstration flow of §3:
 ///
@@ -180,46 +181,14 @@ class Semandaq {
     return wal_sync_policy_;
   }
 
-  /// Discovers CFDs from `relation` (reference data) into the constraint
-  /// set, returning how many were added. CfdMinerOptions::num_threads
-  /// selects the parallel levelwise sweep: 1 (the default) mines serially,
-  /// 0 fans each lattice level's candidates out over the shared
-  /// hardware-width facade pool, and N >= 2 runs exactly N lanes (a
-  /// private pool inside the miner, mirroring how detect's threads=N runs
-  /// N shards) — mined output is byte-identical for every thread count
-  /// and SIMD tier (docs/discovery.md). This is what the Session CLI's
-  /// `mine REL threads=N` runs.
-  common::Result<size_t> Discover(const std::string& relation,
-                                  discovery::CfdMinerOptions options = {});
-
   /// Runs the error detector over one relation with the CFDs registered for
   /// it. `options` only applies to the native detector; in particular
   /// DetectorOptions::num_threads >= 2 (or 0 = all hardware threads) turns
   /// on the sharded parallel scan, whose output is identical to the serial
-  /// one (see docs/architecture.md). Omitted, it inherits the facade-wide
-  /// default set via set_detector_options.
+  /// one (see docs/architecture.md). Omitted, the serial defaults apply.
   common::Result<detect::ViolationTable> DetectErrors(
       const std::string& relation, DetectorKind kind = DetectorKind::kNative,
       std::optional<detect::DetectorOptions> options = std::nullopt);
-
-  /// The native detector's summary counts for one relation, without
-  /// materializing the violation table (NativeDetector::Count): what the
-  /// Session's `detect REL` prints. Equal to DetectErrors(relation,
-  /// kNative, options)->Counts().
-  common::Result<detect::ViolationCounts> CountErrors(
-      const std::string& relation,
-      std::optional<detect::DetectorOptions> options = std::nullopt);
-
-  /// Facade-wide default detection options, used by DetectErrors and by
-  /// every component that detects internally (Audit, Report, QualityMap,
-  /// Explore). This is how a deployment opts the whole read path into
-  /// sharded detection once instead of plumbing options through each call.
-  void set_detector_options(detect::DetectorOptions options) {
-    detector_options_ = options;
-  }
-  const detect::DetectorOptions& detector_options() const {
-    return detector_options_;
-  }
 
   /// Error detector + data auditor.
   common::Result<audit::AuditOutcome> Audit(const std::string& relation);
@@ -237,7 +206,6 @@ class Semandaq {
   /// repairs serially, 0 borrows the shared hardware-width facade pool,
   /// and N >= 2 runs exactly N private lanes — the RepairResult is
   /// byte-identical for every thread count and SIMD tier (docs/repair.md).
-  /// This is what the Session CLI's `clean REL threads=N` runs.
   common::Result<repair::RepairResult> Clean(const std::string& relation,
                                              repair::RepairOptions options = {},
                                              repair::CostModelOptions cost = {});
@@ -246,7 +214,9 @@ class Semandaq {
   common::Result<std::unique_ptr<repair::RepairReview>> Review(
       const std::string& relation, repair::RepairResult result);
 
-  /// Writes a candidate repair back into the connected database.
+  /// Writes a candidate repair back into the connected database, all or
+  /// nothing: if any change names a dead tuple or a bad column, no cell is
+  /// written (and nothing is journaled).
   common::Status ApplyRepair(const std::string& relation,
                              const repair::RepairResult& result);
 
@@ -290,7 +260,6 @@ class Semandaq {
 
   relational::Database db_;
   ConstraintEngine engine_;
-  detect::DetectorOptions detector_options_;
   std::unique_ptr<common::ThreadPool> pool_;
 
   /// Warm encoded snapshots by lowercase relation name, fed by

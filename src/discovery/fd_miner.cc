@@ -138,8 +138,7 @@ std::vector<DiscoveredFd> FdMiner::Mine(PartitionCache* cache,
         xa.push_back(slot.rhs[j]);
         std::sort(xa.begin(), xa.end());
         const Partition& pxa = cache->Get(xa);
-        slot.holds[j] = options_.use_error_exit ? RefinesForFd(px, pxa)
-                                                : px.Refines(pxa);
+        slot.holds[j] = RefinesForFd(px, pxa);
       }
     };
     if (parallel) {

@@ -42,11 +42,6 @@ struct FdMinerOptions {
   /// evidence scans (kAuto = the host's best; see docs/simd.md). Every
   /// tier mines the identical output.
   common::simd::Level simd_level = common::simd::Level::kAuto;
-  /// Decide candidates by the O(1) stripped-partition error test
-  /// e(X) == e(X∪A) when the covers match, instead of walking classes
-  /// (see RefinesForFd). Output is identical either way; the knob exists
-  /// for the A/B bench.
-  bool use_error_exit = true;
   /// Cooperative cancellation (common/cancel.h), checked at level and
   /// candidate boundaries. Mine() returns a vector, so a tripped token
   /// makes the sweep stop early with a *partial* result — callers that
@@ -89,9 +84,9 @@ class FdMiner {
   /// miner shares its encode pass and PartitionCache with this embedded
   /// run instead of paying both twice. The cache is populated and
   /// Rotate()d by the sweep (call between your own levels only);
-  /// `pool` may be null (serial sweep). Only `max_lhs` and
-  /// `use_error_exit` of the options apply — the cache already fixes the
-  /// encode path and kernel tier. Output is identical to Mine().
+  /// `pool` may be null (serial sweep). Only `max_lhs` of the options
+  /// applies — the cache already fixes the encode path and kernel tier.
+  /// Output is identical to Mine().
   std::vector<DiscoveredFd> Mine(PartitionCache* cache,
                                  common::ThreadPool* pool,
                                  const LevelHook& after_level = {});

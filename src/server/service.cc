@@ -7,7 +7,6 @@
 #include "audit/report.h"
 #include "common/string_util.h"
 #include "core/command_words.h"
-#include "core/session.h"
 #include "detect/native_detector.h"
 #include "discovery/cfd_miner.h"
 #include "relational/csv_io.h"
@@ -28,10 +27,53 @@ SemandaqService::SemandaqService(ServiceOptions options)
 }
 
 std::string SemandaqService::Help() {
-  return core::Session::Help() +
-         "  epoch REL                 latest published snapshot epoch of REL\n"
-         "  stats                     server counters (lanes, queues, sheds, "
-         "timeouts, cancels)\n";
+  return
+      "commands:\n"
+      "  help | ls\n"
+      "  load NAME PATH            import CSV as relation NAME\n"
+      "  save REL PATH [compact=N] [sync=MODE]\n"
+      "                            persist REL as a binary columnar snapshot\n"
+      "                            (WAL sidecar at PATH.wal); compact=N folds\n"
+      "                            the sidecar back into the snapshot once it\n"
+      "                            holds N mutation records; sync=MODE picks\n"
+      "                            WAL durability: always (fdatasync every\n"
+      "                            record), batch(N), or none\n"
+      "  open NAME PATH            load a snapshot (+ WAL tail) as NAME;\n"
+      "                            detect/mine need no re-encode afterwards\n"
+      "  savedb DIR                persist every relation into DIR plus a\n"
+      "                            catalog manifest (whole-database save)\n"
+      "  opendb DIR                reopen a savedb directory (snapshots +\n"
+      "                            WAL tails; warm restart)\n"
+      "  gen customer|hospital N NOISE%   generate a workload (dirty + gold)\n"
+      "  show REL [N]              print up to N tuples (default 10)\n"
+      "  cfd DEFINITION            e.g. cfd customer: [CC=44] -> [CNT=UK]\n"
+      "  cfds                      list registered CFDs\n"
+      "  validate REL              satisfiability analysis of Sigma(REL)\n"
+      "  mine REL [threads=N] [simd=LEVEL]\n"
+      "                            discover CFDs from REL into Sigma\n"
+      "                            (threads=N fans the levelwise sweep out,\n"
+      "                            0 = all hardware threads; mined output is\n"
+      "                            identical for every thread count and tier)\n"
+      "  detect REL [sql] [threads=N] [simd=scalar|sse2|avx2]\n"
+      "                            run the error detector (native or SQL\n"
+      "                            path; threads=N shards the native scan,\n"
+      "                            0 = all hardware threads; simd= forces a\n"
+      "                            kernel tier, default = best supported)\n"
+      "  map REL [N]               tuple-level data quality map\n"
+      "  report REL                data quality report\n"
+      "  explore REL CFD# PAT#     drill-down tables for a pattern\n"
+      "  clean REL [threads=N] [simd=LEVEL]\n"
+      "                            compute a candidate repair (pending);\n"
+      "                            threads=N fans the per-round candidate\n"
+      "                            evaluation and re-detection out, 0 = all\n"
+      "                            hardware threads; the repair is identical\n"
+      "                            for every thread count and tier\n"
+      "  diff                      show the pending repair\n"
+      "  apply                     write the pending repair back\n"
+      "  sql QUERY                 run a SELECT statement\n"
+      "  epoch REL                 latest published snapshot epoch of REL\n"
+      "  stats                     server counters (lanes, queues, sheds, "
+      "timeouts, cancels)\n";
 }
 
 std::string SemandaqService::RenderStats() const {
@@ -473,7 +515,6 @@ common::Result<std::string> SemandaqService::CmdClean(
       << "\nuse 'diff' to review, 'apply' to commit\n";
   session->pending_repair = std::move(repair);
   session->pending_relation = args[0];
-  session->pending_epoch = snap->epoch;
   return out.str();
 }
 

@@ -48,10 +48,13 @@ struct ServiceStats {
   std::atomic<uint64_t> epochs_served{0};
 };
 
-/// The concurrent multi-session service over one Semandaq system: many
-/// sessions execute the core::Session command grammar against a shared
-/// database, with reads running in parallel against pinned immutable
-/// epochs and writes serialized behind one writer lock.
+/// The concurrent multi-session service over one Semandaq system, and the
+/// one text-command grammar over it (Help() lists the commands): the CLI
+/// (examples/semandaq_cli.cpp) runs it with a single session, the TCP
+/// server (tools/semandaq_server.cc) with one session per connection. Many
+/// sessions execute commands against a shared database, with reads running
+/// in parallel against pinned immutable epochs and writes serialized behind
+/// one writer lock.
 ///
 /// Concurrency model (docs/server.md):
 ///
@@ -88,11 +91,10 @@ class SemandaqService {
   SemandaqService& operator=(const SemandaqService&) = delete;
 
   /// Per-session command state: the pending candidate repair of the last
-  /// `clean`, and the epoch it was computed against.
+  /// `clean`, awaiting `diff`/`apply`.
   struct SessionState {
     std::optional<repair::RepairResult> pending_repair;
     std::string pending_relation;
-    uint64_t pending_epoch = 0;
   };
 
   /// Per-request execution context, owned by the transport. `cancel` is
@@ -105,8 +107,8 @@ class SemandaqService {
   };
 
   /// Executes one command line for one session. Thread-safe; any number
-  /// of sessions may execute concurrently. The grammar is core::Session's
-  /// (same commands, same output bytes) plus `epoch REL` and `stats`.
+  /// of sessions may execute concurrently. An empty or `#` comment line
+  /// returns an empty string.
   common::Result<std::string> Execute(SessionState* session,
                                       std::string_view command_line) {
     RequestContext ctx;

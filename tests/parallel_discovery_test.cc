@@ -6,8 +6,10 @@
 // tier combination, because candidates are validated into per-candidate
 // slots and emitted in the serial sweep's exact lexicographic order.
 // Also covers the two-generation PartitionCache (level-scoped residency,
-// rebuild-on-demand after eviction, never stale).
+// rebuild-on-demand after eviction, never stale) and checks the O(1)
+// e(X) == e(X∪A) FD test against the class walk it short-cuts.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,11 +17,11 @@
 
 #include "common/simd/simd.h"
 #include "common/thread_pool.h"
-#include "core/session.h"
 #include "discovery/cfd_miner.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
 #include "relational/encoded_relation.h"
+#include "server/service.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
 #include "workload/hospital_gen.h"
@@ -58,6 +60,32 @@ std::string CfdSignature(const Relation& rel, const CfdMinerOptions& opts) {
     for (const auto& c : *mined) s += c.ToString() + "\n";
   }
   return s;
+}
+
+/// The miner decides X -> A by RefinesForFd, whose O(1) error test stands
+/// in for the class walk whenever the covers match. Check it against the
+/// walk (Partition::Refines) for every X with |X| <= 2 and every A not in X.
+void ExpectErrorExitMatchesClassWalk(const Relation& rel) {
+  const relational::EncodedRelation enc(&rel);
+  const size_t ncols = rel.schema().size();
+  std::vector<std::vector<size_t>> lhs_sets;
+  for (size_t a = 0; a < ncols; ++a) {
+    lhs_sets.push_back({a});
+    for (size_t b = a + 1; b < ncols; ++b) lhs_sets.push_back({a, b});
+  }
+  for (const std::vector<size_t>& lhs : lhs_sets) {
+    const Partition px = Partition::Build(enc, lhs);
+    for (size_t rhs = 0; rhs < ncols; ++rhs) {
+      if (std::find(lhs.begin(), lhs.end(), rhs) != lhs.end()) continue;
+      std::vector<size_t> xa = lhs;
+      xa.push_back(rhs);
+      std::sort(xa.begin(), xa.end());
+      const Partition pxa = Partition::Build(enc, xa);
+      EXPECT_EQ(RefinesForFd(px, pxa), px.Refines(pxa))
+          << "lhs size " << lhs.size() << " first " << lhs.front() << " rhs "
+          << rhs;
+    }
+  }
 }
 
 /// Mined FD and CFD output must be byte-identical to the serial scalar
@@ -108,9 +136,7 @@ void ExpectIdenticalMining(const Relation& rel) {
   EXPECT_EQ(cfd_base, CfdSignature(rel, rows_cfd));
 
   // The e(X) == e(X∪A) early-exit is an optimization, never a semantic.
-  FdMinerOptions no_exit;
-  no_exit.use_error_exit = false;
-  EXPECT_EQ(fd_base, FdSignature(FdMiner(&rel, no_exit).Mine()));
+  ExpectErrorExitMatchesClassWalk(rel);
 }
 
 TEST(ParallelDiscoveryTest, PaperCustomerIdentical) {
@@ -181,13 +207,15 @@ TEST(ParallelDiscoveryTest, FacadeMineCommandMatchesSerial) {
   // The CLI surface: `mine REL threads=N` must add the same CFDs in the
   // same order as the serial `mine REL` (and report the same count).
   auto run = [](const std::string& mine_cmd) {
-    core::Session session;
-    auto gen = session.Execute("gen customer 200 5");
+    server::SemandaqService service;
+    server::SemandaqService::SessionState session;
+    auto gen = service.Execute(&session, "gen customer 200 5");
     EXPECT_TRUE(gen.ok()) << gen.status().ToString();
-    auto mined = session.Execute(mine_cmd);
+    auto mined = service.Execute(&session, mine_cmd);
     EXPECT_TRUE(mined.ok()) << mined.status().ToString();
     std::string listing;
-    for (const auto& c : session.system().constraints().cfds()) {
+    for (const auto& c :
+         service.system_unsynchronized().constraints().cfds()) {
       listing += c.ToString() + "\n";
     }
     return (mined.ok() ? *mined : std::string()) + listing;

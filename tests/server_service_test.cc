@@ -1,18 +1,23 @@
-// The concurrent service (src/server/service): it speaks core::Session's
-// grammar with byte-identical outputs, publishes a new epoch per write,
-// serves reads from pinned immutable snapshots, and round-trips a whole
-// database through the catalog manifest — including snapshot compaction
-// and crash recovery across a compaction boundary.
+// The concurrent service (src/server/service): the one command grammar,
+// whose pinned-epoch reads match the same computation on the master
+// byte for byte; it publishes a new epoch per write, serves reads from
+// pinned immutable snapshots, and round-trips a whole database through the
+// catalog manifest — including snapshot compaction and crash recovery
+// across a compaction boundary.
 
+#include <functional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "audit/render.h"
 #include "common/csv.h"
-#include "core/session.h"
 #include "relational/value.h"
 #include "server/service.h"
+#include "sql/engine.h"
 #include "storage/catalog.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
@@ -45,64 +50,113 @@ Row CustomerRow(const std::string& tag) {
 
 // ------------------------------------------------------------ grammar parity
 
-// The load-bearing contract: the same script through core::Session and
-// through the service produces the same bytes, command by command. Every
-// read here computes on a pinned snapshot in the service and directly on
-// the master in the session, so equality also proves snapshot fidelity.
-TEST(ServerServiceTest, GrammarParityWithCoreSession) {
-  const std::vector<std::string> script = {
-      "gen customer 150 8",
-      "ls",
-      "show customer 5",
-      "cfd customer: [CNT=UK, ZIP=_] -> [STR=_]",
-      "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }",
-      "cfds",
-      "validate customer",
-      "detect customer",
-      "detect customer sql",
-      "detect customer threads=3",
-      "map customer 5",
-      "report customer",
-      "explore customer 0 0",
-      "mine customer",
-      "clean customer",
-      "diff",
-      "apply",
-      "detect customer",
-      "sql SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT ORDER BY CNT",
-  };
+/// `clean`'s response for a candidate repair, spelled out independently.
+std::string RenderCandidate(const repair::RepairResult& r) {
+  std::ostringstream out;
+  out << "candidate repair: " << r.changes.size() << " cell(s), cost "
+      << r.total_cost << ", " << r.iterations << " round(s), "
+      << r.null_escapes << " NULL escape(s), remaining "
+      << r.remaining_violations
+      << "\nuse 'diff' to review, 'apply' to commit\n";
+  return out.str();
+}
 
-  core::Session session;
+template <typename T>
+T ValueOrEmpty(common::Result<T> r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? std::move(*r) : T();
+}
+
+// The load-bearing contract: every read verb computes on a pinned epoch,
+// and its bytes must equal the same computation run directly on the
+// master (through the facade) right after it. Equality proves snapshot
+// fidelity: the pinned epoch is the master.
+TEST(ServerServiceTest, GrammarParityWithCoreSession) {
   SemandaqService service;
   SemandaqService::SessionState state;
-  for (const std::string& cmd : script) {
-    auto expected = session.Execute(cmd);
-    ASSERT_TRUE(expected.ok()) << cmd << " -> " << expected.status().ToString();
-    EXPECT_EQ(Exec(&service, &state, cmd), *expected) << "command: " << cmd;
+  core::Semandaq& sys = service.system_unsynchronized();
+  using Kind = core::Semandaq::DetectorKind;
+  auto summary = [&](Kind kind) {
+    auto table = sys.DetectErrors("customer", kind);
+    EXPECT_TRUE(table.ok()) << table.status().ToString();
+    return table.ok() ? table->Summary() + "\n" : std::string();
+  };
+  auto report = [&] {
+    auto r = sys.Report("customer");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return std::string();
+    return audit::AsciiRender::BarChart(*r) + "\n" +
+           audit::AsciiRender::PieChart(*r) + "\n" +
+           audit::AsciiRender::Statistics(*r);
+  };
+  auto show = [&](size_t n) {
+    return sys.database().FindRelation("customer")->ToAsciiTable(n);
+  };
+  const std::string query =
+      "SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT ORDER BY CNT";
+  auto sql = [&] {
+    sql::Engine engine(&sys.database());
+    return ValueOrEmpty(engine.Query(query)).ToAsciiTable(50);
+  };
+
+  struct Step {
+    std::string cmd;
+    std::function<std::string()> master;  // empty: no read to compare
+  };
+  const std::vector<Step> script = {
+      {"gen customer 150 8", {}},
+      {"ls", {}},
+      {"show customer 5", [&] { return show(5); }},
+      {"cfd customer: [CNT=UK, ZIP=_] -> [STR=_]", {}},
+      {"cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }", {}},
+      {"cfds", {}},
+      {"validate customer", {}},
+      {"detect customer", [&] { return summary(Kind::kNative); }},
+      {"detect customer sql", [&] { return summary(Kind::kSql); }},
+      {"detect customer threads=3", [&] { return summary(Kind::kNative); }},
+      {"map customer 5",
+       [&] { return ValueOrEmpty(sys.QualityMap("customer", 5)); }},
+      {"report customer", report},
+      {"explore customer 0 0", {}},
+      {"mine customer", {}},
+      {"clean customer",
+       [&] { return RenderCandidate(ValueOrEmpty(sys.Clean("customer"))); }},
+      {"diff", {}},
+      {"apply", {}},
+      {"detect customer", [&] { return summary(Kind::kNative); }},
+      {"show customer 5", [&] { return show(5); }},
+      {"sql " + query, sql},
+  };
+  for (const Step& step : script) {
+    const std::string got = Exec(&service, &state, step.cmd);
+    if (step.master) {
+      EXPECT_EQ(got, step.master()) << "command: " << step.cmd;
+    }
   }
 }
 
+// Failure statuses are part of the grammar: pinned as literals so that
+// changing any of them is a deliberate edit here.
 TEST(ServerServiceTest, ErrorParityWithCoreSession) {
-  const std::vector<std::string> bad = {
-      "frobnicate",
-      "show nosuch",
-      "detect nosuch",
-      "clean nosuch",
-      "diff",   // no pending repair
-      "apply",  // no pending repair
-      "gen widgets 10 5",
-      "detect customer threads=zero",
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"frobnicate",
+       "InvalidArgument: unknown command 'frobnicate' (try: help)"},
+      {"show nosuch", "NotFound: no relation named nosuch"},
+      {"detect nosuch", "NotFound: no relation named nosuch"},
+      {"clean nosuch", "NotFound: no relation named nosuch"},
+      {"diff",
+       "FailedPrecondition: no pending repair (run 'clean REL' first)"},
+      {"apply",
+       "FailedPrecondition: no pending repair (run 'clean REL' first)"},
+      {"gen widgets 10 5", "InvalidArgument: unknown workload: widgets"},
+      {"detect customer threads=zero", "InvalidArgument: not a count: zero"},
   };
-  core::Session session;
   SemandaqService service;
   SemandaqService::SessionState state;
-  for (const std::string& cmd : bad) {
-    auto expected = session.Execute(cmd);
-    ASSERT_FALSE(expected.ok()) << cmd;
+  for (const auto& [cmd, expected] : bad) {
     auto actual = service.Execute(&state, cmd);
     ASSERT_FALSE(actual.ok()) << cmd;
-    EXPECT_EQ(actual.status().ToString(), expected.status().ToString())
-        << "command: " << cmd;
+    EXPECT_EQ(actual.status().ToString(), expected) << "command: " << cmd;
   }
 }
 

@@ -1,20 +1,35 @@
+// The command grammar as one session sees it: server::SemandaqService with
+// a single SessionState, exactly how the CLI (examples/semandaq_cli.cpp)
+// runs it.
+
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
-#include "core/session.h"
+#include "server/service.h"
 #include "test_util.h"
+#include "workload/customer_gen.h"
 
-namespace semandaq::core {
+namespace semandaq::server {
 namespace {
 
-std::string Exec(Session* s, const std::string& cmd) {
+/// One service with one session — the CLI's shape.
+struct Shell {
+  SemandaqService service;
+  SemandaqService::SessionState state;
+
+  common::Result<std::string> Execute(const std::string& cmd) {
+    return service.Execute(&state, cmd);
+  }
+};
+
+std::string Exec(Shell* s, const std::string& cmd) {
   auto r = s->Execute(cmd);
   EXPECT_TRUE(r.ok()) << cmd << " -> " << r.status().ToString();
   return r.ok() ? *r : std::string();
 }
 
 TEST(SessionTest, HelpAndEmptyAndComments) {
-  Session s;
+  Shell s;
   EXPECT_NE(Exec(&s, "help").find("commands:"), std::string::npos);
   EXPECT_EQ(Exec(&s, ""), "");
   EXPECT_EQ(Exec(&s, "   "), "");
@@ -22,12 +37,12 @@ TEST(SessionTest, HelpAndEmptyAndComments) {
 }
 
 TEST(SessionTest, UnknownCommandFails) {
-  Session s;
+  Shell s;
   EXPECT_FALSE(s.Execute("frobnicate").ok());
 }
 
 TEST(SessionTest, GenLsShow) {
-  Session s;
+  Shell s;
   EXPECT_NE(Exec(&s, "gen customer 50 10").find("generated customer"),
             std::string::npos);
   const std::string ls = Exec(&s, "ls");
@@ -38,7 +53,7 @@ TEST(SessionTest, GenLsShow) {
 }
 
 TEST(SessionTest, FullPipeline) {
-  Session s;
+  Shell s;
   Exec(&s, "gen customer 150 8");
   Exec(&s, "cfd customer: [CNT=UK, ZIP=_] -> [STR=_]");
   Exec(&s, "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
@@ -63,19 +78,22 @@ TEST(SessionTest, FullPipeline) {
 
 TEST(SessionTest, DetectCountsMatchTheFullTableWithDeletedRows) {
   // `detect REL` prints counts from the count-only pass; they must equal
-  // the full table's summary, serial and sharded, after deletions.
-  Session s;
-  Exec(&s, "gen customer 3000 10");
+  // the full table's summary, serial and sharded, on a relation whose
+  // first published epoch already carries tombstones.
+  Shell s;
+  workload::CustomerWorkloadOptions opts;
+  opts.num_tuples = 3000;
+  opts.noise_rate = 0.10;
+  auto wl = workload::CustomerGenerator::Generate(opts);
+  for (relational::TupleId tid = 0; tid < wl.dirty.IdBound(); tid += 3) {
+    ASSERT_OK(wl.dirty.Delete(tid));
+  }
+  core::Semandaq& sys = s.service.system_unsynchronized();
+  ASSERT_OK(sys.Connect(std::move(wl.dirty)));
   Exec(&s, "cfd customer: [CNT, ZIP] -> [CITY]");
   Exec(&s, "cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }");
-  Exec(&s, "detect customer");  // warms the encoded snapshot
-  relational::Relation* rel =
-      s.system().database().FindMutableRelation("customer");
-  ASSERT_NE(rel, nullptr);
-  for (relational::TupleId tid = 0; tid < rel->IdBound(); tid += 3) {
-    ASSERT_OK(rel->Delete(tid));
-  }
-  auto table = s.system().DetectErrors("customer");
+
+  auto table = sys.DetectErrors("customer");
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   const std::string expected = table->Summary() + "\n";
   EXPECT_EQ(Exec(&s, "detect customer"), expected);
@@ -83,13 +101,13 @@ TEST(SessionTest, DetectCountsMatchTheFullTableWithDeletedRows) {
 }
 
 TEST(SessionTest, DiffApplyRequirePendingRepair) {
-  Session s;
+  Shell s;
   EXPECT_FALSE(s.Execute("diff").ok());
   EXPECT_FALSE(s.Execute("apply").ok());
 }
 
 TEST(SessionTest, SqlCommand) {
-  Session s;
+  Shell s;
   Exec(&s, "gen hospital 80 5");
   const std::string out =
       Exec(&s, "sql SELECT STATE, COUNT(*) AS n FROM hospital GROUP BY STATE "
@@ -100,7 +118,7 @@ TEST(SessionTest, SqlCommand) {
 }
 
 TEST(SessionTest, LoadCsvRoundTrip) {
-  Session s;
+  Shell s;
   const std::string path = ::testing::TempDir() + "/session_load.csv";
   ASSERT_OK(common::WriteStringToFile(path, "A,B\nx,1\ny,2\n"));
   EXPECT_NE(Exec(&s, "load t " + path).find("loaded t"), std::string::npos);
@@ -109,7 +127,7 @@ TEST(SessionTest, LoadCsvRoundTrip) {
 }
 
 TEST(SessionTest, SaveOpenRoundTrip) {
-  Session s;
+  Shell s;
   const std::string path = ::testing::TempDir() + "/session_snapshot.sdq";
   Exec(&s, "gen customer 200 8");
   Exec(&s, "cfd customer: [CNT=UK, ZIP=_] -> [STR=_]");
@@ -132,7 +150,7 @@ TEST(SessionTest, SaveOpenRoundTrip) {
 }
 
 TEST(SessionTest, BadArgumentsAreRejected) {
-  Session s;
+  Shell s;
   EXPECT_FALSE(s.Execute("gen customer abc 5").ok());
   EXPECT_FALSE(s.Execute("gen martian 10 5").ok());
   EXPECT_FALSE(s.Execute("load onlyname").ok());
@@ -141,4 +159,4 @@ TEST(SessionTest, BadArgumentsAreRejected) {
 }
 
 }  // namespace
-}  // namespace semandaq::core
+}  // namespace semandaq::server

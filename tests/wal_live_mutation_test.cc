@@ -133,6 +133,47 @@ TEST(WalLiveMutationTest, ApplyRepairJournalsSetCells) {
   std::remove((path + ".wal").c_str());
 }
 
+TEST(WalLiveMutationTest, FailedApplyRepairWritesNothing) {
+  // A repair that names a tuple deleted since `clean` must fail before it
+  // writes any cell: no partial repair in the relation, none in the WAL.
+  const std::string path = TempPath("wal_live_partial_repair.sdq");
+  workload::CustomerWorkloadOptions opts;
+  opts.num_tuples = 200;
+  opts.noise_rate = 0.10;
+  auto wl = workload::CustomerGenerator::Generate(opts);
+  Semandaq sys;
+  ASSERT_OK(sys.Connect(std::move(wl.dirty)));
+  ASSERT_OK(sys.constraints().AddCfdsFromText(
+      "customer: [CNT=UK, ZIP=_] -> [STR=_]\n"
+      "customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }"));
+  ASSERT_OK_AND_ASSIGN(auto saved, sys.SaveRelation("customer", path));
+  (void)saved;
+
+  ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer"));
+  ASSERT_FALSE(repair.changes.empty());
+  const TupleId doomed = repair.changes.back().tid;
+  // The bug needs earlier changes on other tuples to leave behind.
+  ASSERT_NE(repair.changes.front().tid, doomed);
+
+  Relation* rel = sys.database().FindMutableRelation("customer");
+  ASSERT_NE(rel, nullptr);
+  ASSERT_OK(rel->Delete(doomed));
+  const Relation before = *rel;
+  storage::WalAttachment* wal = sys.AttachedWal("customer");
+  ASSERT_NE(wal, nullptr);
+  const size_t records = wal->records_appended();
+
+  EXPECT_FALSE(sys.ApplyRepair("customer", repair).ok());
+  EXPECT_EQ(wal->records_appended(), records);
+  ASSERT_EQ(rel->size(), before.size());
+  for (TupleId tid : before.LiveIds()) {
+    EXPECT_TRUE(rel->row(tid) == before.row(tid)) << "tuple " << tid;
+  }
+
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
 TEST(WalLiveMutationTest, OpenedRelationKeepsJournaling) {
   // Open -> mutate -> reopen: the attachment armed by OpenRelation appends
   // after the replayed tail, so chained reopen cycles stay lossless.
