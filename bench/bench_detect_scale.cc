@@ -1,11 +1,10 @@
 // EXP-D1 — detection scalability in |D| ([3] Fan et al., TODS'08 style):
 // wall time of a full detection pass over the customer relation as the
-// number of tuples grows, for the code paths native-encoded (dictionary
-// codes over a warm columnar snapshot), native-row (the original Row-hash
-// scan), and generated-SQL detection through the sql:: engine. The paper's
-// claim: detection is a small number of scans, scaling near-linearly; the
-// SQL path pays a constant interpreter factor but keeps the same
-// asymptotics. The encoded/row pair is the A/B for the columnar fast path.
+// number of tuples grows, for native detection (dictionary codes over a
+// columnar snapshot, warm or cold) and generated-SQL detection through the
+// sql:: engine. The paper's claim: detection is a small number of scans,
+// scaling near-linearly; the SQL path pays a constant interpreter factor
+// but keeps the same asymptotics.
 
 #include <benchmark/benchmark.h>
 
@@ -24,11 +23,11 @@ namespace {
 constexpr double kNoise = 0.05;
 
 // Shared body of the native-detection variants; `warm` attaches an
-// externally kept encoded snapshot (nullptr = whatever `options` implies,
-// building a local snapshot per Detect when the encoded path is on), and
-// `pool` a worker pool built outside the timed loop (nullptr = a sharded
-// detector builds one per call). `count_only` times NativeDetector::Count
-// instead of Detect — the summary-only pass the `detect` command runs.
+// externally kept encoded snapshot (nullptr = build a local snapshot per
+// Detect), and `pool` a worker pool built outside the timed loop (nullptr =
+// a sharded detector builds one per call). `count_only` times
+// NativeDetector::Count instead of Detect — the summary-only pass the
+// `detect` command runs.
 void RunNativeDetect(benchmark::State& state, detect::DetectorOptions options,
                      relational::EncodedRelation* warm,
                      common::ThreadPool* pool = nullptr,
@@ -230,14 +229,6 @@ BENCHMARK(BM_NativeDetectSimd)
     ->Args({64000, 2})
     ->Args({256000, 0})
     ->Args({256000, 2})
-    ->Unit(benchmark::kMillisecond);
-
-// The pre-columnar baseline: hash partitioning on projected Rows.
-void BM_NativeDetectRows(benchmark::State& state) {
-  RunNativeDetect(state, detect::DetectorOptions{/*use_encoded=*/false},
-                  nullptr);
-}
-BENCHMARK(BM_NativeDetectRows)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SqlDetect(benchmark::State& state) {

@@ -66,7 +66,7 @@ int main() {
     return 1;
   }
 
-  semandaq::core::DataExplorer explorer(&rel, &cfds, &*table);
+  semandaq::core::DataExplorer explorer(&rel, cfds, std::move(*table));
   Row lhs = {Value::String("UK"), Value::String("EH2 4SD")};
   std::printf("%s\n", explorer.RenderDrilldown(0, 0, lhs).c_str());
 

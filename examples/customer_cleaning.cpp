@@ -60,7 +60,7 @@ int main() {
   // --- exploration (Fig. 2): drill into the dirtiest UK zip --------------
   auto explorer = sys.Explore("customer");
   if (explorer.ok()) {
-    auto matches = (*explorer)->LhsMatches(1, 0);  // phi2 = CFD #1, pattern 0
+    auto matches = explorer->LhsMatches(1, 0);  // phi2 = CFD #1, pattern 0
     if (matches.ok() && !matches->empty()) {
       const auto& worst = matches->front();
       std::printf("dirtiest UK zip group: %s with %zu tuple(s), %zu street(s), vio %lld\n\n",

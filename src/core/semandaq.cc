@@ -348,17 +348,11 @@ common::Result<std::unique_ptr<monitor::DataMonitor>> Semandaq::StartMonitor(
   return mon;
 }
 
-common::Result<std::unique_ptr<DataExplorer>> Semandaq::Explore(
-    const std::string& relation) {
+common::Result<DataExplorer> Semandaq::Explore(const std::string& relation) {
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
                             db_.GetRelation(relation));
   SEMANDAQ_ASSIGN_OR_RETURN(detect::ViolationTable table, DetectErrors(relation));
-  explorer_cfds_.push_back(
-      std::make_unique<std::vector<cfd::Cfd>>(engine_.CfdsFor(relation)));
-  explorer_tables_.push_back(
-      std::make_unique<detect::ViolationTable>(std::move(table)));
-  return std::make_unique<DataExplorer>(rel, explorer_cfds_.back().get(),
-                                        explorer_tables_.back().get());
+  return DataExplorer(rel, engine_.CfdsFor(relation), std::move(table));
 }
 
 }  // namespace semandaq::core

@@ -29,9 +29,6 @@ struct CfdMinerOptions {
   bool include_global_fds = true;
   /// Cap on tableau rows per embedded FD (keeps Σ reviewable).
   size_t max_patterns_per_fd = 64;
-  /// Run the partition and evidence passes over a dictionary-encoded
-  /// snapshot (integer codes) instead of hashing Rows and Values.
-  bool use_encoded = true;
   /// Lanes for the per-level candidate fan-out (and the embedded FdMiner
   /// run): 1 = serial sweep (the default), 0 = one lane per hardware
   /// thread, N = N lanes. Without a borrowed `pool`, the miner spins up

@@ -38,30 +38,21 @@ void ForEachSubset(size_t n, size_t k,
 }  // namespace
 
 bool FdMiner::Holds(const relational::Relation& rel, const std::vector<size_t>& lhs,
-                    size_t rhs, bool use_encoded) {
+                    size_t rhs) {
   std::vector<size_t> xa = lhs;
   xa.push_back(rhs);
   std::sort(xa.begin(), xa.end());
-  if (use_encoded) {
-    const relational::EncodedRelation encoded(&rel);
-    const Partition px = Partition::Build(encoded, lhs);
-    const Partition pxa = Partition::Build(encoded, xa);
-    return RefinesForFd(px, pxa);
-  }
-  const Partition px = Partition::Build(rel, lhs);
-  const Partition pxa = Partition::Build(rel, xa);
+  const relational::EncodedRelation encoded(&rel);
+  const Partition px = Partition::Build(encoded, lhs);
+  const Partition pxa = Partition::Build(encoded, xa);
   return RefinesForFd(px, pxa);
 }
 
 std::vector<DiscoveredFd> FdMiner::Mine() {
-  // Base partitions come from the dictionary-encoded snapshot when enabled:
-  // singletons then cost one dense code->class array pass each, with the
-  // array sized directly from the dictionary cardinality.
-  std::unique_ptr<relational::EncodedRelation> encoded;
-  if (options_.use_encoded) {
-    encoded = std::make_unique<relational::EncodedRelation>(rel_, nullptr,
-                                                           options_.cancel);
-  }
+  // Base partitions come from the dictionary-encoded snapshot: singletons
+  // cost one dense code->class array pass each, with the array sized
+  // directly from the dictionary cardinality.
+  const relational::EncodedRelation encoded(rel_, nullptr, options_.cancel);
   std::unique_ptr<common::ThreadPool> local_pool;
   common::ThreadPool* pool =
       common::ResolvePool(options_.pool, options_.num_threads, &local_pool);
@@ -69,7 +60,7 @@ std::vector<DiscoveredFd> FdMiner::Mine() {
   // for the intersect recurrence, level k products filling. Rotate() after
   // each level evicts everything older (rebuilt on demand if a pruning
   // path asks again).
-  PartitionCache cache(rel_, encoded.get(), options_.simd_level);
+  PartitionCache cache(rel_, &encoded, options_.simd_level);
   return Mine(&cache, pool);
 }
 
@@ -82,8 +73,7 @@ std::vector<DiscoveredFd> FdMiner::Mine(PartitionCache* cache,
   std::map<size_t, std::vector<std::vector<size_t>>> minimal_lhs;
 
   const bool parallel = pool != nullptr && pool->num_threads() > 1 && ncols > 0;
-  // BuildBases also pays row hydration once before the fan-out (it is not
-  // thread-safe lazily) — a no-op when the CFD miner primed the cache.
+  // A no-op when the CFD miner primed the cache.
   if (parallel) cache->BuildBases(ncols, pool);
 
   auto has_subset_fd = [&](const std::vector<size_t>& lhs, size_t rhs) {

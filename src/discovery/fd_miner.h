@@ -23,9 +23,6 @@ struct DiscoveredFd {
 struct FdMinerOptions {
   /// Maximum LHS size to explore (levelwise lattice depth).
   size_t max_lhs = 3;
-  /// Build base partitions from a dictionary-encoded snapshot (one encode
-  /// pass, then pure integer grouping) instead of hashing projected Rows.
-  bool use_encoded = true;
   /// Lanes for the per-level candidate fan-out: 1 = serial sweep (the
   /// default), 0 = one lane per hardware thread, N = N lanes. When no
   /// borrowed `pool` is attached, the miner spins up its own pool for the
@@ -85,18 +82,17 @@ class FdMiner {
   /// run instead of paying both twice. The cache is populated and
   /// Rotate()d by the sweep (call between your own levels only);
   /// `pool` may be null (serial sweep). Only `max_lhs` of the options
-  /// applies — the cache already fixes the encode path and kernel tier.
+  /// applies — the cache already fixes the snapshot and kernel tier.
   /// Output is identical to Mine().
   std::vector<DiscoveredFd> Mine(PartitionCache* cache,
                                  common::ThreadPool* pool,
                                  const LevelHook& after_level = {});
 
-  /// Checks one FD directly (exposed for tests and the CFD miner). With
-  /// `use_encoded` (the default) both partitions come off one dictionary
-  /// encode pass — the same build path Mine() uses — instead of hashing
-  /// projected Rows.
+  /// Checks one FD directly (exposed for tests and the CFD miner). Both
+  /// partitions come off one dictionary encode pass — the same build path
+  /// Mine() uses.
   static bool Holds(const relational::Relation& rel, const std::vector<size_t>& lhs,
-                    size_t rhs, bool use_encoded = true);
+                    size_t rhs);
 
  private:
   const relational::Relation* rel_;

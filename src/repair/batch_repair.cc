@@ -47,12 +47,10 @@ struct SingleEval {
   std::vector<std::pair<Value, double>> alts;
 };
 
-/// One live group member at round start. `label` is a uint32 stand-in for
-/// the member's RHS value — the dictionary code in encoded mode, a
-/// first-occurrence ordinal in the row fallback — with 0 (kNullCode)
-/// reserved for NULL in both. Label equality means value equality either
-/// way, which is what lets the apply phase and the equivalence classes run
-/// on integers.
+/// One live group member at round start. `label` is the member's RHS
+/// dictionary code, with 0 (kNullCode) for NULL. Label equality means value
+/// equality, which is what lets the apply phase and the equivalence classes
+/// run on integers.
 struct GroupMember {
   TupleId tid = -1;
   uint32_t label = 0;
@@ -88,9 +86,7 @@ class RepairEngine {
     SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, work_.schema()));
     work_.EnsureHydrated();  // Phase A reads rows from worker lanes
     pool_ = common::ResolvePool(options_.pool, options_.num_threads, &owned_pool_);
-    if (options_.use_encoded) {
-      enc_ = std::make_unique<EncodedRelation>(&work_, pool_, options_.cancel);
-    }
+    enc_ = std::make_unique<EncodedRelation>(&work_, pool_, options_.cancel);
     kernels_ = &common::simd::KernelsFor(options_.simd_level);
     ComputeFrequentValues();
 
@@ -99,7 +95,6 @@ class RepairEngine {
     // the touched cell), so each round's re-detection is a warm kernel scan
     // instead of a cold per-round re-encode.
     detect::DetectorOptions dopts;
-    dopts.use_encoded = options_.use_encoded;
     dopts.num_threads = options_.num_threads;
     dopts.simd_level = options_.simd_level;
     // The engine reads current cells (or codes) itself; decoding a Value
@@ -111,7 +106,7 @@ class RepairEngine {
     dopts.cancel = options_.cancel;
     detect::NativeDetector detector(&work_, cfds_, dopts);
     detector.set_thread_pool(pool_);
-    if (enc_) detector.set_encoded(enc_.get());
+    detector.set_encoded(enc_.get());
 
     RepairResult result;
     int it = 0;
@@ -182,9 +177,8 @@ class RepairEngine {
   /// applies the decisions serially in one canonical order (singles by
   /// (cfd, pattern, tid), then groups by (fd group, first member)), with
   /// the pending-target/touched-cell conflict machinery arbitrating cells
-  /// claimed by more than one violation. The canonical order also erases
-  /// the emission-order difference between the encoded and row detectors,
-  /// which is what makes encoded/row runs repair identically.
+  /// claimed by more than one violation. The canonical order also makes
+  /// the result independent of the detector's emission order.
   size_t ResolveRound(const ViolationTable& table, RepairResult* result) {
     touched_this_round_.clear();
     pending_targets_.clear();
@@ -310,42 +304,22 @@ class RepairEngine {
     return 1;
   }
 
-  /// Round-start RHS label of a live member: the dictionary code in encoded
-  /// mode; in the row fallback an ordinal assigned per group by first
-  /// occurrence (via `ords`, the group-local value->ordinal map).
-  uint32_t MemberLabel(
-      TupleId tid, size_t rhs_col,
-      std::unordered_map<Value, uint32_t, relational::ValueHash>* ords) const {
-    if (enc_) return enc_->code(tid, rhs_col);
-    const Value& v = work_.cell(tid, rhs_col);
-    if (v.is_null()) return kNullCode;
-    return ords->emplace(v, static_cast<uint32_t>(ords->size()) + 1).first->second;
-  }
-
-  const Value& LabelValue(size_t rhs_col, uint32_t label, TupleId carrier) const {
-    if (enc_) return enc_->Decode(rhs_col, label);
-    return work_.cell(carrier, rhs_col);
-  }
-
   void EvalGroup(const ViolationGroup& vg, GroupEval* out) const {
     if (vg.cfd_index < 0) return;
     const Cfd& c = cfds_[static_cast<size_t>(vg.cfd_index)];
     const size_t rhs_col = c.rhs_col();
 
-    std::unordered_map<Value, uint32_t, relational::ValueHash> ords;
     out->members.reserve(vg.members.size());
     for (TupleId tid : vg.members) {
       if (!work_.IsLive(tid)) continue;
-      out->members.push_back({tid, MemberLabel(tid, rhs_col, &ords), Mutable(tid)});
+      out->members.push_back({tid, enc_->code(tid, rhs_col), Mutable(tid)});
     }
 
-    // Distinct non-NULL RHS labels in first-occurrence order, with a
-    // carrier tid per label so the row fallback can read the value back.
-    // Counting runs on integers: the encoded path gathers the member codes
-    // into a scratch column and lets CountEq32 tally each distinct code,
-    // which is the same kernel pass the detector's partner counts use.
+    // Distinct non-NULL RHS labels in first-occurrence order. Counting runs
+    // on integers: the member codes gather into a scratch column and
+    // CountEq32 tallies each distinct code, which is the same kernel pass
+    // the detector's partner counts use.
     std::vector<uint32_t> distinct;
-    std::vector<TupleId> carrier;
     std::vector<Code> codes;  // the gathered scratch column (all members)
     std::vector<Code> mut_codes;
     codes.reserve(out->members.size());
@@ -360,7 +334,6 @@ class RepairEngine {
       if (m.label == kNullCode) continue;
       if (std::find(distinct.begin(), distinct.end(), m.label) == distinct.end()) {
         distinct.push_back(m.label);
-        carrier.push_back(m.tid);
       }
     }
     if (distinct.size() < 2) return;  // already resolved
@@ -389,16 +362,13 @@ class RepairEngine {
     // Candidate targets with total weighted rewrite cost over the mutable
     // members, summed per distinct label (count x per-value cost — one
     // CellChangeCost per (label, candidate) pair instead of one per member).
+    const relational::Dictionary& dict = enc_->dictionary(rhs_col);
     auto total_cost = [&](uint32_t target, const Value& target_v) {
       double cost = 0;
       for (size_t d = 0; d < distinct.size(); ++d) {
         if (mut_counts[d] == 0) continue;
         cost += static_cast<double>(mut_counts[d]) *
-                (enc_ ? cost_model_.CellChangeCostCoded(
-                            rhs_col, distinct[d], target, enc_->dictionary(rhs_col))
-                      : cost_model_.CellChangeCost(
-                            rhs_col, LabelValue(rhs_col, distinct[d], carrier[d]),
-                            target_v));
+                cost_model_.CellChangeCostCoded(rhs_col, distinct[d], target, dict);
       }
       if (mut_nulls > 0) {
         cost += static_cast<double>(mut_nulls) *
@@ -410,11 +380,8 @@ class RepairEngine {
     std::vector<Candidate> candidates;
     std::vector<uint32_t> candidate_labels;
     if (frozen.size() == 1) {
-      size_t d = 0;
-      while (distinct[d] != frozen.front()) ++d;
-      candidates.push_back(
-          {LabelValue(rhs_col, frozen.front(), carrier[d]),
-           total_cost(frozen.front(), LabelValue(rhs_col, frozen.front(), carrier[d]))});
+      const Value& v = enc_->Decode(rhs_col, frozen.front());
+      candidates.push_back({v, total_cost(frozen.front(), v)});
       candidate_labels.push_back(frozen.front());
     } else {
       candidates.reserve(distinct.size());
@@ -423,14 +390,14 @@ class RepairEngine {
       for (size_t d = 0; d < distinct.size(); ++d) order[d] = d;
       std::vector<double> costs(distinct.size());
       for (size_t d = 0; d < distinct.size(); ++d) {
-        costs[d] = total_cost(distinct[d], LabelValue(rhs_col, distinct[d], carrier[d]));
+        costs[d] = total_cost(distinct[d], enc_->Decode(rhs_col, distinct[d]));
       }
       // Ties break to the first-occurring value — stable under every thread
-      // count and both detector paths, unlike the old unstable sort.
+      // count, unlike the old unstable sort.
       std::stable_sort(order.begin(), order.end(),
                        [&](size_t a, size_t b) { return costs[a] < costs[b]; });
       for (size_t d : order) {
-        candidates.push_back({LabelValue(rhs_col, distinct[d], carrier[d]), costs[d]});
+        candidates.push_back({enc_->Decode(rhs_col, distinct[d]), costs[d]});
         candidate_labels.push_back(distinct[d]);
       }
     }
@@ -609,48 +576,27 @@ class RepairEngine {
     }
   }
 
-  /// Per-column frequent values from one histogram pass. In encoded mode
-  /// the pass counts dictionary codes over the live code column — integer
-  /// increments, no Value hashing; the row fallback counts values in the
-  /// same first-occurrence-over-live order, so both paths produce the same
-  /// list (count descending, ties to first occurrence).
+  /// Per-column frequent values from one histogram pass that counts
+  /// dictionary codes over the live code column — integer increments, no
+  /// Value hashing. Count descending, ties to first occurrence.
   void ComputeFrequentValues() {
     const size_t ncols = work_.schema().size();
     frequent_.resize(ncols);
-    if (enc_) {
-      for (size_t col = 0; col < ncols; ++col) {
-        const relational::CodeColumn& codes = enc_->column(col);
-        std::vector<int64_t> counts(enc_->dictionary(col).size() + 1, 0);
-        std::vector<Code> order;
-        enc_->ForEachLive([&](TupleId tid) {
-          const Code code = codes[static_cast<size_t>(tid)];
-          if (code == kNullCode) return;
-          if (counts[code]++ == 0) order.push_back(code);
-        });
-        std::stable_sort(order.begin(), order.end(),
-                         [&](Code a, Code b) { return counts[a] > counts[b]; });
-        const size_t keep = std::min<size_t>(order.size(), 4);
-        for (size_t i = 0; i < keep; ++i) {
-          frequent_[col].push_back(enc_->Decode(col, order[i]));
-        }
+    for (size_t col = 0; col < ncols; ++col) {
+      const relational::CodeColumn& codes = enc_->column(col);
+      std::vector<int64_t> counts(enc_->dictionary(col).size() + 1, 0);
+      std::vector<Code> order;
+      enc_->ForEachLive([&](TupleId tid) {
+        const Code code = codes[static_cast<size_t>(tid)];
+        if (code == kNullCode) return;
+        if (counts[code]++ == 0) order.push_back(code);
+      });
+      std::stable_sort(order.begin(), order.end(),
+                       [&](Code a, Code b) { return counts[a] > counts[b]; });
+      const size_t keep = std::min<size_t>(order.size(), 4);
+      for (size_t i = 0; i < keep; ++i) {
+        frequent_[col].push_back(enc_->Decode(col, order[i]));
       }
-      return;
-    }
-    std::vector<std::unordered_map<Value, size_t, relational::ValueHash>> slot(ncols);
-    std::vector<std::vector<std::pair<Value, int64_t>>> items(ncols);
-    work_.ForEach([&](TupleId, const Row& row) {
-      for (size_t c = 0; c < ncols; ++c) {
-        if (row[c].is_null()) continue;
-        auto [it, fresh] = slot[c].emplace(row[c], items[c].size());
-        if (fresh) items[c].emplace_back(row[c], 0);
-        ++items[c][it->second].second;
-      }
-    });
-    for (size_t c = 0; c < ncols; ++c) {
-      std::stable_sort(items[c].begin(), items[c].end(),
-                       [](const auto& a, const auto& b) { return a.second > b.second; });
-      const size_t keep = std::min<size_t>(items[c].size(), 4);
-      for (size_t i = 0; i < keep; ++i) frequent_[c].push_back(items[c][i].first);
     }
   }
 
@@ -658,7 +604,7 @@ class RepairEngine {
                    std::vector<std::pair<Value, double>> alternatives) {
     pending_targets_[CellKey(tid, col)] = v;
     (void)work_.SetCell(tid, col, std::move(v));
-    if (enc_) enc_->ApplyCell(tid, col);  // keep the snapshot warm
+    enc_->ApplyCell(tid, col);  // keep the snapshot warm
     touched_this_round_.insert(CellKey(tid, col));
     auto& slot = change_alternatives_[CellKey(tid, col)];
     if (!alternatives.empty() || slot.empty()) slot = std::move(alternatives);

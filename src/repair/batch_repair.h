@@ -38,14 +38,6 @@ struct RepairOptions {
   std::unordered_set<relational::TupleId> mutable_tids;
   bool restrict_to_mutable = false;
 
-  /// Route the per-round re-detection and candidate-cost evaluation through
-  /// one dictionary-encoded snapshot of the working relation, kept warm
-  /// across rounds via the delta hooks (every applied cell edit re-encodes
-  /// exactly that cell). Off = the original row-hash walk, kept for A/B
-  /// measurement and as the semantic reference; the computed RepairResult
-  /// is byte-identical either way.
-  bool use_encoded = true;
-
   /// Worker lanes for the per-round candidate evaluation and the sharded
   /// re-detection scans: 1 (default) = serial, 0 = one lane per hardware
   /// thread, N >= 2 = exactly N lanes. Each round evaluates all violation
@@ -55,8 +47,8 @@ struct RepairOptions {
   /// null escapes — is byte-identical for every thread count.
   size_t num_threads = 1;
 
-  /// Kernel tier of the encoded scans (see docs/simd.md); every tier
-  /// repairs identically. The row path ignores it.
+  /// Kernel tier of the re-detection and group-tally scans (see
+  /// docs/simd.md); every tier repairs identically.
   common::simd::Level simd_level = common::simd::Level::kAuto;
 
   /// Borrowed worker pool (e.g. the Semandaq facade's shared one). nullptr

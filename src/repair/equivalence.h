@@ -38,10 +38,9 @@ class EquivalenceClasses {
   void Union(CellId a, CellId b);
 
   /// Bulk merge over one code column: cells (tids[i], col) sharing a label
-  /// merge into one class. Labels are uint32 dictionary codes in the
-  /// encoded repair engine (relational::Code) and distinct-value ordinals
-  /// in the row fallback — any uint32 space where label equality means
-  /// value equality works. Label 0 (relational::kNullCode) marks a NULL
+  /// merge into one class. The repair engine passes dictionary codes
+  /// (relational::Code); any uint32 space where label equality means value
+  /// equality works. Label 0 (relational::kNullCode) marks a NULL
   /// cell and is skipped: NULL never pins cells together. One pass, one
   /// integer-keyed map — no Value hashing. Returns the number of Union
   /// operations performed.

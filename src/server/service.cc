@@ -7,6 +7,7 @@
 #include "audit/report.h"
 #include "common/string_util.h"
 #include "core/command_words.h"
+#include "core/explorer.h"
 #include "detect/native_detector.h"
 #include "discovery/cfd_miner.h"
 #include "relational/csv_io.h"
@@ -204,6 +205,7 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
   if (verb == "clean") return CmdClean(session, args, cancel);
   if (verb == "map") return CmdMap(args, cancel);
   if (verb == "report") return CmdReport(args, cancel);
+  if (verb == "explore") return CmdExplore(args, cancel);
   if (verb == "sql") return CmdSql(line.substr(verb.size()), cancel);
   if (verb == "diff") return CmdDiff(session);
   if (verb == "apply") return CmdApply(session);
@@ -352,21 +354,6 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
       out += "\n";
     }
     return out;
-  }
-
-  if (verb == "explore") {
-    if (args.size() < 3) {
-      return Status::InvalidArgument("usage: explore REL CFD# PAT#");
-    }
-    SEMANDAQ_ASSIGN_OR_RETURN(size_t ci, core::ParseCount(args[1]));
-    SEMANDAQ_ASSIGN_OR_RETURN(size_t pi, core::ParseCount(args[2]));
-    SEMANDAQ_ASSIGN_OR_RETURN(auto explorer, sys_.Explore(args[0]));
-    SEMANDAQ_ASSIGN_OR_RETURN(auto matches,
-                              explorer->LhsMatches(static_cast<int>(ci),
-                                                   static_cast<int>(pi)));
-    if (matches.empty()) return std::string("(no tuples match this pattern)\n");
-    return explorer->RenderDrilldown(static_cast<int>(ci), static_cast<int>(pi),
-                                     matches.front().lhs);
   }
 
   return Status::InvalidArgument("unknown command '" + verb + "' (try: help)");
@@ -571,15 +558,8 @@ common::Result<std::string> SemandaqService::CmdMap(
   }
   SnapshotPtr snap = Pin(args[0]);
   if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  ThreadLease lease = scheduler_.Acquire(0);
-  detect::DetectorOptions options;
-  options.num_threads = lease.lanes();
-  options.cancel = cancel;
-  detect::NativeDetector detector(&snap->relation, std::move(cfds), options);
-  detector.set_thread_pool(lease.pool());
-  detector.set_encoded(&*snap->encoded);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, detector.Detect());
+  SEMANDAQ_ASSIGN_OR_RETURN(auto table,
+                            DetectPinned(*snap, CfdsFor(args[0]), cancel));
   return audit::AsciiRender::QualityMap(snap->relation, table, n);
 }
 
@@ -589,14 +569,7 @@ common::Result<std::string> SemandaqService::CmdReport(
   SnapshotPtr snap = Pin(args[0]);
   if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
   std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  ThreadLease lease = scheduler_.Acquire(0);
-  detect::DetectorOptions options;
-  options.num_threads = lease.lanes();
-  options.cancel = cancel;
-  detect::NativeDetector detector(&snap->relation, cfds, options);
-  detector.set_thread_pool(lease.pool());
-  detector.set_encoded(&*snap->encoded);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, detector.Detect());
+  SEMANDAQ_ASSIGN_OR_RETURN(auto table, DetectPinned(*snap, cfds, cancel));
   audit::DataAuditor auditor(&snap->relation, std::move(cfds));
   SEMANDAQ_ASSIGN_OR_RETURN(auto outcome, auditor.Audit(table));
   const audit::QualityReport report =
@@ -604,6 +577,40 @@ common::Result<std::string> SemandaqService::CmdReport(
   return audit::AsciiRender::BarChart(report) + "\n" +
          audit::AsciiRender::PieChart(report) + "\n" +
          audit::AsciiRender::Statistics(report);
+}
+
+common::Result<std::string> SemandaqService::CmdExplore(
+    const std::vector<std::string>& args, common::CancelToken* cancel) {
+  if (args.size() < 3) {
+    return Status::InvalidArgument("usage: explore REL CFD# PAT#");
+  }
+  SEMANDAQ_ASSIGN_OR_RETURN(size_t ci, core::ParseCount(args[1]));
+  SEMANDAQ_ASSIGN_OR_RETURN(size_t pi, core::ParseCount(args[2]));
+  SnapshotPtr snap = Pin(args[0]);
+  if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
+  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
+  SEMANDAQ_ASSIGN_OR_RETURN(auto table, DetectPinned(*snap, cfds, cancel));
+  const core::DataExplorer explorer(&snap->relation, std::move(cfds),
+                                    std::move(table));
+  SEMANDAQ_ASSIGN_OR_RETURN(auto matches,
+                            explorer.LhsMatches(static_cast<int>(ci),
+                                                static_cast<int>(pi)));
+  if (matches.empty()) return std::string("(no tuples match this pattern)\n");
+  return explorer.RenderDrilldown(static_cast<int>(ci), static_cast<int>(pi),
+                                  matches.front().lhs);
+}
+
+common::Result<detect::ViolationTable> SemandaqService::DetectPinned(
+    const RelationSnapshot& snap, const std::vector<cfd::Cfd>& cfds,
+    common::CancelToken* cancel) {
+  ThreadLease lease = scheduler_.Acquire(0);
+  detect::DetectorOptions options;
+  options.num_threads = lease.lanes();
+  options.cancel = cancel;
+  detect::NativeDetector detector(&snap.relation, cfds, options);
+  detector.set_thread_pool(lease.pool());
+  detector.set_encoded(&*snap.encoded);
+  return detector.Detect();
 }
 
 common::Result<std::string> SemandaqService::CmdSql(

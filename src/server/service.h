@@ -170,6 +170,11 @@ class SemandaqService {
   /// Copy of the CFDs registered for `relation` (brief sys_mu_ hold).
   std::vector<cfd::Cfd> CfdsFor(const std::string& relation);
 
+  /// Full detection of `cfds` on a pinned epoch, on leased lanes.
+  common::Result<detect::ViolationTable> DetectPinned(
+      const RelationSnapshot& snap, const std::vector<cfd::Cfd>& cfds,
+      common::CancelToken* cancel);
+
   /// The dispatch body Execute wraps with admission control.
   common::Result<std::string> ExecuteAdmitted(SessionState* session,
                                               std::string_view line,
@@ -194,6 +199,8 @@ class SemandaqService {
                                      common::CancelToken* cancel);
   common::Result<std::string> CmdReport(const std::vector<std::string>& args,
                                         common::CancelToken* cancel);
+  common::Result<std::string> CmdExplore(const std::vector<std::string>& args,
+                                         common::CancelToken* cancel);
   common::Result<std::string> CmdSql(std::string_view query,
                                      common::CancelToken* cancel);
 

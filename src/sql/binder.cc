@@ -41,7 +41,7 @@ class Binder {
       SEMANDAQ_RETURN_IF_ERROR(BindExpr(q_.stmt.having.get(), /*allow_agg=*/true));
     }
     for (auto& o : q_.stmt.order_by) {
-      SEMANDAQ_RETURN_IF_ERROR(BindExpr(o.expr.get(), /*allow_agg=*/true));
+      SEMANDAQ_RETURN_IF_ERROR(BindOrderItem(&o));
     }
     q_.is_aggregate = !q_.stmt.group_by.empty() || !q_.aggregates.empty();
     if (q_.stmt.having && !q_.is_aggregate) {
@@ -158,6 +158,30 @@ class Binder {
         return BindExpr(e->right.get(), allow_agg);
     }
     return Status::Internal("unreachable expression kind");
+  }
+
+  /// ORDER BY may also name a select-list output (`ORDER BY n` for
+  /// `COUNT(*) AS n`): an unqualified column reference that resolves to no
+  /// FROM column becomes a copy of that output's bound expression. Table
+  /// columns win over outputs of the same name.
+  Status BindOrderItem(OrderItem* o) {
+    Status st = BindExpr(o->expr.get(), /*allow_agg=*/true);
+    const Expr& e = *o->expr;
+    if (st.code() != common::StatusCode::kNotFound ||
+        e.kind != ExprKind::kColumnRef || !e.qualifier.empty()) {
+      return st;
+    }
+    const OutputColumn* match = nullptr;
+    for (const OutputColumn& out : q_.outputs) {
+      if (!common::EqualsIgnoreCase(out.name, e.column)) continue;
+      if (match != nullptr) {
+        return Status::InvalidArgument("ambiguous ORDER BY reference: " + e.column);
+      }
+      match = &out;
+    }
+    if (match == nullptr) return st;
+    o->expr = CloneExpr(*match->expr);
+    return Status::OK();
   }
 
   Status BindColumn(Expr* e) {

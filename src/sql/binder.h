@@ -41,7 +41,8 @@ struct BoundQuery {
 /// Rules enforced: FROM tables must exist and have unique effective names;
 /// column refs must resolve uniquely; only COUNT/SUM/AVG/MIN/MAX calls are
 /// known, they may not nest, and they may not appear in WHERE or GROUP BY;
-/// aggregate queries may not select bare stars.
+/// aggregate queries may not select bare stars. An unqualified ORDER BY
+/// column that names no FROM column may name a select-list output alias.
 common::Result<BoundQuery> Bind(SelectStmt stmt, const relational::Database& db);
 
 }  // namespace semandaq::sql

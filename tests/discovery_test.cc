@@ -5,6 +5,8 @@
 #include "discovery/cfd_miner.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
+#include "oracles.h"
+#include "relational/encoded_relation.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
 
@@ -16,10 +18,18 @@ using relational::Value;
 
 // -------------------------------------------------------------- Partition --
 
+/// Π_X off a fresh encode of `rel`, checked against the brute-force Π_X.
+Partition Build(const Relation& rel, const std::vector<size_t>& cols) {
+  const relational::EncodedRelation enc(&rel);
+  Partition p = Partition::Build(enc, cols);
+  semandaq::testing::BruteForcePartition(rel, cols).ExpectMatches(p);
+  return p;
+}
+
 TEST(PartitionTest, BuildGroupsEqualValues) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "2"}, {"y", "1"}, {"x", "3"}});
-  Partition p = Partition::Build(rel, {0});
+  Partition p = Build(rel, {0});
   EXPECT_EQ(p.num_classes(), 2u);
   EXPECT_EQ(p.num_tuples(), 4u);
   ASSERT_EQ(p.classes().size(), 1u);  // only {x} is non-singleton
@@ -31,7 +41,7 @@ TEST(PartitionTest, BuildGroupsEqualValues) {
 TEST(PartitionTest, NullsExcluded) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A"}, {{"x"}, {""}, {"x"}});
-  Partition p = Partition::Build(rel, {0});
+  Partition p = Build(rel, {0});
   EXPECT_EQ(p.num_tuples(), 2u);
   EXPECT_EQ(p.ClassOf(1), -1);
 }
@@ -39,22 +49,23 @@ TEST(PartitionTest, NullsExcluded) {
 TEST(PartitionTest, IntersectIsProductPartition) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "1"}, {"x", "2"}, {"y", "1"}});
-  Partition pa = Partition::Build(rel, {0});
-  Partition pb = Partition::Build(rel, {1});
+  Partition pa = Build(rel, {0});
+  Partition pb = Build(rel, {1});
   Partition pab = Partition::Intersect(pa, pb);
-  Partition direct = Partition::Build(rel, {0, 1});
+  Partition direct = Build(rel, {0, 1});
   EXPECT_EQ(pab.num_classes(), direct.num_classes());
   EXPECT_EQ(pab.num_tuples(), direct.num_tuples());
+  semandaq::testing::BruteForcePartition(rel, {0, 1}).ExpectMatches(pab);
 }
 
 TEST(PartitionTest, RefinesDetectsFd) {
   // A -> B holds; B -> A does not (B=1 spans A=x and A=y).
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "1"}, {"y", "2"}, {"z", "1"}});
-  Partition pa = Partition::Build(rel, {0});
-  Partition pab = Partition::Build(rel, {0, 1});
+  Partition pa = Build(rel, {0});
+  Partition pab = Build(rel, {0, 1});
   EXPECT_TRUE(pa.Refines(pab));
-  Partition pb = Partition::Build(rel, {1});
+  Partition pb = Build(rel, {1});
   EXPECT_FALSE(pb.Refines(pab));
 }
 
@@ -64,9 +75,11 @@ TEST(FdMinerTest, HoldsChecksSingleFd) {
   Relation rel = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "1"}, {"y", "2"}});
   EXPECT_TRUE(FdMiner::Holds(rel, {0}, 1));
+  EXPECT_TRUE(semandaq::testing::BruteForceFdHolds(rel, {0}, 1));
   Relation bad = semandaq::testing::MakeStringRelation(
       "t", {"A", "B"}, {{"x", "1"}, {"x", "2"}});
   EXPECT_FALSE(FdMiner::Holds(bad, {0}, 1));
+  EXPECT_FALSE(semandaq::testing::BruteForceFdHolds(bad, {0}, 1));
 }
 
 TEST(FdMinerTest, FindsPlantedFds) {

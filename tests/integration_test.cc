@@ -43,7 +43,7 @@ TEST(IntegrationTest, PaperWalkthrough) {
 
   // Explore (Fig. 2).
   ASSERT_OK_AND_ASSIGN(auto explorer, sys.Explore("customer"));
-  ASSERT_OK_AND_ASSIGN(auto entries, explorer->ListCfds());
+  ASSERT_OK_AND_ASSIGN(auto entries, explorer.ListCfds());
   EXPECT_EQ(entries.size(), 2u);
 
   // Clean (Fig. 5), review, apply.

@@ -5,9 +5,12 @@
 // scalar run — same FDs/CFDs in the same order — for every thread count ×
 // tier combination, because candidates are validated into per-candidate
 // slots and emitted in the serial sweep's exact lexicographic order.
-// Also covers the two-generation PartitionCache (level-scoped residency,
-// rebuild-on-demand after eviction, never stale) and checks the O(1)
-// e(X) == e(X∪A) FD test against the class walk it short-cuts.
+// The serial output itself is pinned by independent oracles: the mined FD
+// set must equal the minimal FDs a pairwise brute-force check finds, and
+// every mined CFD must have zero violations under the paper's SQL
+// detector. Also covers the two-generation PartitionCache (level-scoped
+// residency, rebuild-on-demand after eviction, never stale) and checks the
+// O(1) e(X) == e(X∪A) FD test against the class walk it short-cuts.
 
 #include <algorithm>
 #include <string>
@@ -17,9 +20,11 @@
 
 #include "common/simd/simd.h"
 #include "common/thread_pool.h"
+#include "detect/sql_detector.h"
 #include "discovery/cfd_miner.h"
 #include "discovery/fd_miner.h"
 #include "discovery/partition.h"
+#include "oracles.h"
 #include "relational/encoded_relation.h"
 #include "server/service.h"
 #include "test_util.h"
@@ -51,15 +56,75 @@ std::string FdSignature(const std::vector<DiscoveredFd>& fds) {
   return s;
 }
 
-/// One line per mined CFD (full tableau text), in emission order.
-std::string CfdSignature(const Relation& rel, const CfdMinerOptions& opts) {
+std::vector<cfd::Cfd> MineCfds(const Relation& rel, const CfdMinerOptions& opts) {
   auto mined = CfdMiner(&rel, opts).Mine();
   EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+  return mined.ok() ? std::move(*mined) : std::vector<cfd::Cfd>{};
+}
+
+/// One line per CFD (full tableau text), in order.
+std::string CfdSignature(const std::vector<cfd::Cfd>& cfds) {
   std::string s;
-  if (mined.ok()) {
-    for (const auto& c : *mined) s += c.ToString() + "\n";
-  }
+  for (const auto& c : cfds) s += c.ToString() + "\n";
   return s;
+}
+
+std::string CfdSignature(const Relation& rel, const CfdMinerOptions& opts) {
+  return CfdSignature(MineCfds(rel, opts));
+}
+
+/// The minimal FDs X -> A with 1 <= |X| <= max_lhs (and |X| < ncols, the
+/// sweep's lattice bound) by brute force: X -> A holds pairwise and no
+/// proper nonempty subset of X determines A.
+std::vector<DiscoveredFd> BruteForceMinimalFds(const Relation& rel,
+                                               size_t max_lhs) {
+  const size_t ncols = rel.schema().size();
+  std::vector<std::vector<size_t>> sets;  // every X, sizes ascending
+  for (size_t mask = 1; mask < (size_t{1} << ncols); ++mask) {
+    std::vector<size_t> cols;
+    for (size_t c = 0; c < ncols; ++c) {
+      if (mask & (size_t{1} << c)) cols.push_back(c);
+    }
+    if (cols.size() <= max_lhs && cols.size() < ncols) sets.push_back(cols);
+  }
+  std::stable_sort(sets.begin(), sets.end(), [](const auto& a, const auto& b) {
+    return a.size() < b.size();
+  });
+  std::vector<DiscoveredFd> out;
+  for (size_t rhs = 0; rhs < ncols; ++rhs) {
+    std::vector<std::vector<size_t>> holding;
+    for (const std::vector<size_t>& lhs : sets) {
+      if (std::find(lhs.begin(), lhs.end(), rhs) != lhs.end()) continue;
+      if (!semandaq::testing::BruteForceFdHolds(rel, lhs, rhs)) continue;
+      const bool minimal = std::none_of(
+          holding.begin(), holding.end(), [&](const std::vector<size_t>& sub) {
+            return std::includes(lhs.begin(), lhs.end(), sub.begin(), sub.end());
+          });
+      holding.push_back(lhs);
+      if (minimal) out.push_back(DiscoveredFd{lhs, rhs});
+    }
+  }
+  return out;
+}
+
+/// Canonical FD order for set comparison: by (rhs, lhs).
+std::vector<DiscoveredFd> SortedByRhs(std::vector<DiscoveredFd> fds) {
+  std::sort(fds.begin(), fds.end(), [](const auto& a, const auto& b) {
+    if (a.rhs_col != b.rhs_col) return a.rhs_col < b.rhs_col;
+    return a.lhs_cols < b.lhs_cols;
+  });
+  return fds;
+}
+
+/// Every mined CFD must hold on the instance it was mined from: zero
+/// violations under the paper's SQL detector (Q_C and Q_V).
+void ExpectSqlClean(const Relation& rel, const std::vector<cfd::Cfd>& cfds) {
+  relational::Database db;
+  ASSERT_OK(db.AddRelation(rel.Clone()));
+  detect::SqlDetector sql(&db, rel.name(), cfds);
+  auto table = sql.Detect();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->TotalVio(), 0) << table->Summary();
 }
 
 /// The miner decides X -> A by RefinesForFd, whose O(1) error test stands
@@ -94,11 +159,16 @@ void ExpectErrorExitMatchesClassWalk(const Relation& rel) {
 void ExpectIdenticalMining(const Relation& rel) {
   FdMinerOptions serial_fd;
   serial_fd.simd_level = simd::Level::kScalar;
-  const std::string fd_base = FdSignature(FdMiner(&rel, serial_fd).Mine());
+  const std::vector<DiscoveredFd> fds = FdMiner(&rel, serial_fd).Mine();
+  const std::string fd_base = FdSignature(fds);
+  EXPECT_EQ(FdSignature(SortedByRhs(BruteForceMinimalFds(rel, serial_fd.max_lhs))),
+            FdSignature(SortedByRhs(fds)));
 
   CfdMinerOptions serial_cfd;
   serial_cfd.simd_level = simd::Level::kScalar;
-  const std::string cfd_base = CfdSignature(rel, serial_cfd);
+  const std::vector<cfd::Cfd> cfds = MineCfds(rel, serial_cfd);
+  const std::string cfd_base = CfdSignature(cfds);
+  ExpectSqlClean(rel, cfds);
 
   for (size_t threads : kThreadCounts) {
     for (simd::Level level : kLevels) {
@@ -124,16 +194,6 @@ void ExpectIdenticalMining(const Relation& rel) {
   CfdMinerOptions pooled_cfd;
   pooled_cfd.pool = &pool;
   EXPECT_EQ(cfd_base, CfdSignature(rel, pooled_cfd));
-
-  // The row-hash fallback path must fan out identically too.
-  FdMinerOptions rows_fd;
-  rows_fd.use_encoded = false;
-  rows_fd.num_threads = 4;
-  EXPECT_EQ(fd_base, FdSignature(FdMiner(&rel, rows_fd).Mine()));
-  CfdMinerOptions rows_cfd;
-  rows_cfd.use_encoded = false;
-  rows_cfd.num_threads = 4;
-  EXPECT_EQ(cfd_base, CfdSignature(rel, rows_cfd));
 
   // The e(X) == e(X∪A) early-exit is an optimization, never a semantic.
   ExpectErrorExitMatchesClassWalk(rel);
@@ -404,14 +464,27 @@ TEST(PartitionCacheTest, ConcurrentGetsAreSafeAndDeterministic) {
   }
 }
 
-TEST(FdMinerTest, HoldsMatchesEncodedAndRowPaths) {
-  const Relation rel = semandaq::testing::PaperCustomerRelation();
-  for (size_t rhs = 0; rhs < rel.schema().size(); ++rhs) {
-    for (size_t lhs = 0; lhs < rel.schema().size(); ++lhs) {
-      if (lhs == rhs) continue;
-      EXPECT_EQ(FdMiner::Holds(rel, {lhs}, rhs, /*use_encoded=*/true),
-                FdMiner::Holds(rel, {lhs}, rhs, /*use_encoded=*/false))
-          << "lhs=" << lhs << " rhs=" << rhs;
+TEST(FdMinerTest, HoldsMatchesBruteForce) {
+  const Relation nullish = semandaq::testing::MakeStringRelation(
+      "nullish", {"A", "B", "C"},
+      {{"a", "1", "x"}, {"a", "", "y"}, {"a", "1", ""}, {"", "2", "x"},
+       {"b", "2", "x"}, {"b", "3", ""}});
+  for (const Relation& rel :
+       {semandaq::testing::PaperCustomerRelation(), nullish}) {
+    const size_t ncols = rel.schema().size();
+    for (size_t rhs = 0; rhs < ncols; ++rhs) {
+      for (size_t a = 0; a < ncols; ++a) {
+        if (a == rhs) continue;
+        EXPECT_EQ(FdMiner::Holds(rel, {a}, rhs),
+                  semandaq::testing::BruteForceFdHolds(rel, {a}, rhs))
+            << rel.name() << " lhs=" << a << " rhs=" << rhs;
+        for (size_t b = a + 1; b < ncols; ++b) {
+          if (b == rhs) continue;
+          EXPECT_EQ(FdMiner::Holds(rel, {a, b}, rhs),
+                    semandaq::testing::BruteForceFdHolds(rel, {a, b}, rhs))
+              << rel.name() << " lhs=" << a << "," << b << " rhs=" << rhs;
+        }
+      }
     }
   }
 }

@@ -1,12 +1,12 @@
 // The code-columnar repair path: BatchRepair evaluates each round's
-// candidate resolutions in parallel against the round-start state (encoded
-// or row mode, any SIMD tier) and applies them serially in a canonical
-// order — so the ENTIRE RepairResult (changes with ranked alternatives and
-// costs, the repaired relation, and every audit counter including the
-// merged equivalence classes) must be byte-identical across
-// {1,2,4,hw} threads x {scalar,sse2,avx2} x {encoded,row} on every
-// relation shape: the paper walkthrough, generated customer/hospital
-// workloads, empty input, NULL-heavy rows, and tombstoned tuples.
+// candidate resolutions in parallel against the round-start state (any
+// SIMD tier) and applies them serially in a canonical order — so the
+// ENTIRE RepairResult (changes with ranked alternatives and costs, the
+// repaired relation, and every audit counter including the merged
+// equivalence classes) must be byte-identical to the serial scalar run
+// across {1,2,4,hw} threads x {scalar,sse2,avx2} on every relation shape:
+// the paper walkthrough, generated customer/hospital workloads, empty
+// input, NULL-heavy rows, and tombstoned tuples.
 // Also gates the facade loop end to end: repair -> ApplyRepair -> WAL ->
 // reopen -> re-detect must land on the identical (clean) detection state.
 
@@ -76,9 +76,8 @@ std::string RepairSignature(const RepairResult& r) {
 }
 
 std::string RunRepair(const Relation& rel, const std::string& cfd_text,
-                      bool use_encoded, size_t threads, simd::Level tier) {
+                      size_t threads, simd::Level tier) {
   RepairOptions opts;
-  opts.use_encoded = use_encoded;
   opts.num_threads = threads;
   opts.simd_level = tier;
   BatchRepair repair(&rel, Parse(cfd_text), CostModel(rel.schema()), opts);
@@ -88,17 +87,13 @@ std::string RunRepair(const Relation& rel, const std::string& cfd_text,
 }
 
 /// Repairs `rel` under every mode combination and requires each signature
-/// to equal the serial row-mode scalar reference.
+/// to equal the serial scalar reference.
 void ExpectInvariantRepair(const Relation& rel, const std::string& cfds) {
-  const std::string reference =
-      RunRepair(rel, cfds, /*use_encoded=*/false, 1, simd::Level::kScalar);
-  for (bool encoded : {false, true}) {
-    for (size_t threads : kThreadCounts) {
-      for (simd::Level tier : kTiers) {
-        EXPECT_EQ(reference, RunRepair(rel, cfds, encoded, threads, tier))
-            << "encoded=" << encoded << " threads=" << threads
-            << " tier=" << static_cast<int>(tier);
-      }
+  const std::string reference = RunRepair(rel, cfds, 1, simd::Level::kScalar);
+  for (size_t threads : kThreadCounts) {
+    for (simd::Level tier : kTiers) {
+      EXPECT_EQ(reference, RunRepair(rel, cfds, threads, tier))
+          << "threads=" << threads << " tier=" << static_cast<int>(tier);
     }
   }
 }
@@ -144,8 +139,7 @@ TEST(ParallelRepairTest, EmptyRelationIsModeInvariant) {
 TEST(ParallelRepairTest, NullHeavyRelationIsModeInvariant) {
   // NULLs in LHS cells exempt tuples from matching; NULLs in RHS cells
   // still violate constant patterns; whole-row NULL tuples ride along.
-  // The kNullCode handling of the encoded path must agree with the row
-  // walk everywhere.
+  // The kNullCode handling must agree across every thread count and tier.
   const Relation rel = semandaq::testing::MakeStringRelation(
       "customer", {"NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"},
       {
@@ -161,8 +155,8 @@ TEST(ParallelRepairTest, NullHeavyRelationIsModeInvariant) {
 }
 
 TEST(ParallelRepairTest, TombstonedRelationIsModeInvariant) {
-  // Deleted tuples must be invisible to both detection modes: the encoded
-  // snapshot's liveness mask and the row walk's IsLive filter.
+  // Deleted tuples must be invisible to the encoded snapshot's liveness
+  // mask at every thread count and tier.
   Relation rel = semandaq::testing::PaperCustomerRelation();
   const TupleId extra = rel.MustInsert(
       {Value::String("Zed"), Value::String("UK"), Value::String("Edinburgh"),

@@ -1,5 +1,7 @@
 // Property tests for the cleanser: on randomized dirty instances, the
-// repaired output must (a) satisfy the constraint set, (b) differ from the
+// repaired output must (a) satisfy the constraint set — checked by the
+// native detector and independently by the paper's SQL detector — (b)
+// differ from the
 // input only in the recorded change log, and (c) score sane precision/recall
 // against the generator's gold standard.
 
@@ -7,6 +9,7 @@
 
 #include "cfd/cfd_parser.h"
 #include "detect/native_detector.h"
+#include "detect/sql_detector.h"
 #include "repair/batch_repair.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
@@ -24,6 +27,17 @@ std::vector<cfd::Cfd> Parse(const std::string& text) {
   auto r = cfd::ParseCfdSet(text);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? std::move(*r) : std::vector<cfd::Cfd>{};
+}
+
+/// TotalVio of `rel` under the paper's SQL detector (Q_C and Q_V), or -1
+/// when detection fails.
+int64_t SqlTotalVio(const Relation& rel, const std::vector<cfd::Cfd>& cfds) {
+  relational::Database db;
+  EXPECT_OK(db.AddRelation(rel.Clone()));
+  detect::SqlDetector sql(&db, rel.name(), cfds);
+  auto table = sql.Detect();
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.ok() ? table->TotalVio() : -1;
 }
 
 struct Sweep {
@@ -51,6 +65,7 @@ TEST_P(RepairProperty, RepairedCustomerSatisfiesSigma) {
   detect::NativeDetector detector(&result.repaired, cfds);
   ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
   EXPECT_EQ(table.TotalVio(), 0) << "repair left violations";
+  EXPECT_EQ(SqlTotalVio(result.repaired, cfds), 0) << "SQL detector disagrees";
   EXPECT_EQ(result.remaining_violations, 0u);
 
   // (b) The change log is exactly the diff dirty -> repaired.
@@ -92,6 +107,7 @@ TEST_P(RepairProperty, RepairedHospitalSatisfiesSigma) {
   detect::NativeDetector detector(&result.repaired, cfds);
   ASSERT_OK_AND_ASSIGN(auto table, detector.Detect());
   EXPECT_EQ(table.TotalVio(), 0);
+  EXPECT_EQ(SqlTotalVio(result.repaired, cfds), 0) << "SQL detector disagrees";
 }
 
 TEST_P(RepairProperty, CostNeverNegativeAndMatchesChanges) {

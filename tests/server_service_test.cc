@@ -89,6 +89,15 @@ TEST(ServerServiceTest, GrammarParityWithCoreSession) {
            audit::AsciiRender::PieChart(*r) + "\n" +
            audit::AsciiRender::Statistics(*r);
   };
+  auto explore = [&](int ci, int pi) {
+    auto explorer = sys.Explore("customer");
+    EXPECT_TRUE(explorer.ok()) << explorer.status().ToString();
+    if (!explorer.ok()) return std::string();
+    auto matches = ValueOrEmpty(explorer->LhsMatches(ci, pi));
+    EXPECT_FALSE(matches.empty());
+    if (matches.empty()) return std::string();
+    return explorer->RenderDrilldown(ci, pi, matches.front().lhs);
+  };
   auto show = [&](size_t n) {
     return sys.database().FindRelation("customer")->ToAsciiTable(n);
   };
@@ -117,7 +126,7 @@ TEST(ServerServiceTest, GrammarParityWithCoreSession) {
       {"map customer 5",
        [&] { return ValueOrEmpty(sys.QualityMap("customer", 5)); }},
       {"report customer", report},
-      {"explore customer 0 0", {}},
+      {"explore customer 0 0", [&] { return explore(0, 0); }},
       {"mine customer", {}},
       {"clean customer",
        [&] { return RenderCandidate(ValueOrEmpty(sys.Clean("customer"))); }},

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "relational/database.h"
+#include "sql/binder.h"
 #include "sql/engine.h"
+#include "sql/parser.h"
 #include "test_util.h"
 
 namespace semandaq::sql {
@@ -199,6 +201,59 @@ TEST_F(SqlExecutorTest, OrderByNullsFirst) {
   Relation r = Run("SELECT CNT FROM customer ORDER BY CNT");
   ASSERT_EQ(r.size(), 5u);
   EXPECT_TRUE(r.cell(0, 0).is_null());
+}
+
+TEST_F(SqlExecutorTest, OrderByAggregateAlias) {
+  Relation r = Run(
+      "SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT ORDER BY n DESC");
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r.cell(0, 0).AsString(), "UK");
+  EXPECT_EQ(r.cell(0, 1), Value::Int(3));
+  EXPECT_EQ(r.cell(1, 1), Value::Int(1));
+  EXPECT_EQ(r.cell(2, 1), Value::Int(1));
+}
+
+TEST_F(SqlExecutorTest, OrderByPlainAlias) {
+  Relation r = Run("SELECT NAME AS who FROM customer ORDER BY who DESC LIMIT 2");
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r.cell(0, 0).AsString(), "Rick");
+  EXPECT_EQ(r.cell(1, 0).AsString(), "Null");
+}
+
+TEST_F(SqlExecutorTest, BinderResolvesOrderByAliases) {
+  // An aggregate alias binds to the select list's aggregate slot.
+  auto stmt = ParseSelect(
+      "SELECT CNT, COUNT(*) AS n FROM customer GROUP BY CNT ORDER BY n");
+  ASSERT_OK(stmt.status());
+  auto bound = Bind(std::move(*stmt), db_);
+  ASSERT_OK(bound.status());
+  const Expr& key = *bound->stmt.order_by[0].expr;
+  EXPECT_EQ(key.kind, ExprKind::kFuncCall);
+  EXPECT_EQ(key.agg_index, 0);
+  EXPECT_EQ(bound->aggregates.size(), 1u);
+
+  // A plain alias binds to the aliased column.
+  stmt = ParseSelect("SELECT ZIP AS z FROM customer ORDER BY z");
+  ASSERT_OK(stmt.status());
+  bound = Bind(std::move(*stmt), db_);
+  ASSERT_OK(bound.status());
+  const Expr& col = *bound->stmt.order_by[0].expr;
+  EXPECT_EQ(col.kind, ExprKind::kColumnRef);
+  EXPECT_EQ(col.bound_table, 0);
+  EXPECT_EQ(col.bound_col, 2);
+
+  // A FROM column wins over an output alias of the same name.
+  Relation r = Run("SELECT NAME AS CNT FROM customer ORDER BY CNT, NAME");
+  ASSERT_EQ(r.size(), 5u);
+  EXPECT_EQ(r.cell(0, 0).AsString(), "Null");  // NULL CNT sorts first
+  EXPECT_EQ(r.cell(1, 0).AsString(), "Anna");  // then NL
+
+  Engine engine(&db_);
+  auto missing = engine.Query("SELECT NAME AS who FROM customer ORDER BY whom");
+  EXPECT_EQ(missing.status().code(), common::StatusCode::kNotFound);
+  EXPECT_FALSE(
+      engine.Query("SELECT NAME AS x, CITY AS x FROM customer ORDER BY x").ok());
+  EXPECT_FALSE(engine.Query("SELECT NAME AS who FROM customer ORDER BY c.who").ok());
 }
 
 TEST_F(SqlExecutorTest, DuplicateOutputNamesUniquified) {
