@@ -1,6 +1,7 @@
 #ifndef SEMANDAQ_CORE_EXPLORER_H_
 #define SEMANDAQ_CORE_EXPLORER_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +20,8 @@ namespace semandaq::core {
 ///
 /// The explorer is a pure read API over one relation, a CFD set, and a
 /// detection result (the GUI of the paper renders exactly these tables). It
-/// owns the CFDs and the table and borrows the relation.
+/// owns the CFDs and the table; the relation is either borrowed or, from
+/// Semandaq::Explore, a pinned epoch the explorer keeps alive itself.
 class DataExplorer {
  public:
   struct CfdEntry {
@@ -49,12 +51,19 @@ class DataExplorer {
     int64_t violation_count = 0;
   };
 
-  /// `rel` must outlive the explorer. `cfds` must be resolved against its
-  /// schema, and `table` must be a detection result for (rel, cfds) —
-  /// violation counts are read from it.
+  /// `cfds` must be resolved against `rel`'s schema, and `table` must be a
+  /// detection result for (rel, cfds) — violation counts are read from it.
+  DataExplorer(std::shared_ptr<const relational::Relation> rel,
+               std::vector<cfd::Cfd> cfds, detect::ViolationTable table)
+      : rel_(std::move(rel)),
+        cfds_(std::move(cfds)),
+        table_(std::move(table)) {}
+
+  /// Borrowing form: `rel` must outlive the explorer.
   DataExplorer(const relational::Relation* rel, std::vector<cfd::Cfd> cfds,
                detect::ViolationTable table)
-      : rel_(rel), cfds_(std::move(cfds)), table_(std::move(table)) {}
+      : rel_(std::shared_ptr<const relational::Relation>(), rel),
+        cfds_(std::move(cfds)), table_(std::move(table)) {}
 
   /// Step 1: the CFDs (embedded FDs) to explore.
   common::Result<std::vector<CfdEntry>> ListCfds() const;
@@ -90,7 +99,7 @@ class DataExplorer {
   common::Status CheckCfdIndex(int cfd_index) const;
   common::Status CheckPattern(int cfd_index, int pattern_index) const;
 
-  const relational::Relation* rel_;
+  std::shared_ptr<const relational::Relation> rel_;
   std::vector<cfd::Cfd> cfds_;
   detect::ViolationTable table_;
 };

@@ -1,9 +1,8 @@
 #include "core/semandaq.h"
 
-#include "audit/render.h"
 #include "common/string_util.h"
-#include "detect/native_detector.h"
 #include "detect/sql_detector.h"
+#include "relational/column_chunk.h"
 #include "storage/catalog.h"
 #include "storage/wal.h"
 
@@ -24,39 +23,71 @@ common::ThreadPool* Semandaq::PoolFor(size_t num_threads) {
   return pool_.get();
 }
 
-relational::EncodedRelation* Semandaq::FindWarm(
-    const std::string& relation, const relational::Relation* rel) {
-  auto it = warm_.find(common::ToLower(relation));
-  if (it == warm_.end()) return nullptr;
-  if (&it->second->relation() != rel) {
-    // The relation was replaced out from under the snapshot (PutRelation /
-    // Drop + Add); the entry is garbage, not merely stale.
-    warm_.erase(it);
-    return nullptr;
+SnapshotPtr Semandaq::Pin(const std::string& relation) const {
+  std::lock_guard<std::mutex> lock(pubs_mu_);
+  auto it = pubs_.find(common::ToLower(relation));
+  return it == pubs_.end() ? nullptr : it->second.snap;
+}
+
+std::vector<SnapshotPtr> Semandaq::PinAll() const {
+  std::vector<SnapshotPtr> pinned;
+  std::lock_guard<std::mutex> lock(pubs_mu_);
+  for (const auto& [key, pub] : pubs_) {
+    if (pub.snap != nullptr) pinned.push_back(pub.snap);
   }
-  return it->second.get();
+  return pinned;
 }
 
-relational::EncodedRelation* Semandaq::WarmSnapshot(
-    const std::string& relation) {
-  const relational::Relation* rel = db_.FindRelation(relation);
-  if (rel == nullptr) return nullptr;
-  return FindWarm(relation, rel);
-}
-
-relational::EncodedRelation* Semandaq::WarmOrEncode(const std::string& relation) {
-  relational::Relation* rel = db_.FindMutableRelation(relation);
-  if (rel == nullptr) return nullptr;
-  relational::EncodedRelation* warm = FindWarm(relation, rel);
-  if (warm == nullptr) {
-    auto enc = std::make_unique<relational::EncodedRelation>(rel);
-    warm = enc.get();
-    warm_[common::ToLower(relation)] = std::move(enc);
+common::Result<SnapshotPtr> Semandaq::Publish(const std::string& relation) {
+  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
+                            db_.GetRelation(relation));
+  Publication* pub;
+  {
+    std::lock_guard<std::mutex> lock(pubs_mu_);
+    pub = &pubs_[common::ToLower(relation)];
+  }
+  if (pub->encoded == nullptr || pub->identity != rel->identity()) {
+    // New, or replaced out from under the old encoding (PutRelation, or
+    // Drop + Add): the old codes describe another relation object.
+    pub->encoded = std::make_unique<relational::EncodedRelation>(rel);
+    pub->identity = rel->identity();
   } else {
-    warm->set_thread_pool(nullptr);
-    warm->Sync();
+    pub->encoded->Sync();
   }
-  return warm;
+  // The epoch: a liveness copy plus O(1) frozen shares of the code columns,
+  // which the master's later appends land past and its overwrites detach.
+  auto snap = std::make_shared<RelationSnapshot>();
+  snap->epoch = pub->next_epoch++;
+  snap->relation = relational::RelationOverColumns(
+      rel->name(), rel->schema(),
+      std::vector<uint8_t>(rel->live_data(), rel->live_data() + rel->IdBound()),
+      pub->encoded->dictionaries(), pub->encoded->columns());
+  snap->encoded.emplace(pub->encoded->Freeze(&snap->relation));
+  std::lock_guard<std::mutex> lock(pubs_mu_);
+  pub->snap = std::move(snap);
+  return pub->snap;
+}
+
+common::Result<SnapshotPtr> Semandaq::Current(const std::string& relation) {
+  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
+                            db_.GetRelation(relation));
+  {
+    std::lock_guard<std::mutex> lock(pubs_mu_);
+    auto it = pubs_.find(common::ToLower(relation));
+    if (it != pubs_.end() && it->second.snap != nullptr &&
+        it->second.identity == rel->identity() &&
+        it->second.encoded->InSync()) {
+      return it->second.snap;
+    }
+  }
+  return Publish(relation);
+}
+
+common::Result<EpochRead> Semandaq::Read(
+    const std::string& relation, const detect::DetectorOptions& options) {
+  SEMANDAQ_ASSIGN_OR_RETURN(SnapshotPtr snap, Current(relation));
+  return EpochRead{std::move(snap), engine_.CfdsFor(relation), options,
+                   PoolFor(options.num_threads)};
 }
 
 storage::WalAttachment* Semandaq::AttachedWal(const std::string& relation) {
@@ -93,31 +124,14 @@ common::Status Semandaq::AttachWal(const std::string& relation,
   return Status::OK();
 }
 
-common::Result<detect::NativeDetector> Semandaq::NativeDetectorFor(
-    const std::string& relation,
-    std::optional<detect::DetectorOptions> options) {
-  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
-                            db_.GetRelation(relation));
-  const detect::DetectorOptions opts =
-      options.value_or(detect::DetectorOptions{});
-  detect::NativeDetector detector(rel, engine_.CfdsFor(relation), opts);
-  common::ThreadPool* pool = PoolFor(opts.num_threads);
-  detector.set_thread_pool(pool);
-  if (relational::EncodedRelation* warm = FindWarm(relation, rel)) {
-    warm->set_thread_pool(pool);
-    warm->Sync();
-    detector.set_encoded(warm);
-  }
-  return detector;
-}
-
 common::Result<detect::ViolationTable> Semandaq::DetectErrors(
     const std::string& relation, DetectorKind kind,
     std::optional<detect::DetectorOptions> options) {
   if (kind == DetectorKind::kNative) {
-    SEMANDAQ_ASSIGN_OR_RETURN(detect::NativeDetector detector,
-                              NativeDetectorFor(relation, options));
-    return detector.Detect();
+    SEMANDAQ_ASSIGN_OR_RETURN(
+        EpochRead read,
+        Read(relation, options.value_or(detect::DetectorOptions{})));
+    return read.Detector().Detect();
   }
   SEMANDAQ_RETURN_IF_ERROR(db_.GetRelation(relation).status());
   detect::SqlDetector detector(&db_, relation, engine_.CfdsFor(relation));
@@ -130,9 +144,13 @@ common::Result<storage::SnapshotStats> Semandaq::SaveRelation(
   relational::Relation* rel = db_.FindMutableRelation(relation);
   if (rel == nullptr) return Status::NotFound("no relation named " + relation);
   const storage::SyncPolicy policy = sync.value_or(wal_sync_policy_);
-  relational::EncodedRelation* warm = WarmOrEncode(relation);
-  SEMANDAQ_ASSIGN_OR_RETURN(storage::SnapshotStats stats,
-                            storage::SnapshotWriter::Write(*rel, *warm, path));
+  // Bringing the epoch up to date leaves the master's encoding in sync.
+  SEMANDAQ_RETURN_IF_ERROR(Current(relation).status());
+  const relational::EncodedRelation& encoded =
+      *pubs_.at(common::ToLower(relation)).encoded;
+  SEMANDAQ_ASSIGN_OR_RETURN(
+      storage::SnapshotStats stats,
+      storage::SnapshotWriter::Write(*rel, encoded, path));
   // Arm the live journal: the write left a fresh, empty sidecar stamped
   // with this snapshot; from here on every committed mutation appends to
   // it, keeping the on-disk state one replay away from the live one.
@@ -208,7 +226,11 @@ common::Result<Semandaq::OpenDbStats> Semandaq::OpenDatabase(
   for (const storage::CatalogEntry& e : entries) {
     auto one = OpenRelation(e.name, dir + "/" + e.file, cancel);
     if (!one.ok()) {
-      for (const std::string& name : opened) (void)db_.DropRelation(name);
+      for (const std::string& name : opened) {
+        (void)db_.DropRelation(name);
+        std::lock_guard<std::mutex> lock(pubs_mu_);
+        pubs_.erase(common::ToLower(name));
+      }
       return one.status();
     }
     opened.push_back(e.name);
@@ -263,38 +285,31 @@ common::Result<Semandaq::OpenStats> Semandaq::OpenRelation(
   stats.live_rows = rel->size();
   stats.num_columns = static_cast<uint32_t>(rel->schema().size());
   stats.wal_records = *wal;
-  warm_[common::ToLower(name)] = std::move(enc);
+  {
+    std::lock_guard<std::mutex> lock(pubs_mu_);
+    Publication& pub = pubs_[common::ToLower(name)];
+    pub.encoded = std::move(enc);
+    pub.identity = rel->identity();
+  }
+  SEMANDAQ_RETURN_IF_ERROR(Publish(name).status());
   return stats;
 }
 
-common::Result<audit::AuditOutcome> Semandaq::Audit(const std::string& relation) {
-  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
-                            db_.GetRelation(relation));
-  SEMANDAQ_ASSIGN_OR_RETURN(detect::ViolationTable table, DetectErrors(relation));
-  audit::DataAuditor auditor(rel, engine_.CfdsFor(relation));
-  return auditor.Audit(table);
-}
-
 common::Result<audit::QualityReport> Semandaq::Report(const std::string& relation) {
-  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
-                            db_.GetRelation(relation));
-  SEMANDAQ_ASSIGN_OR_RETURN(audit::AuditOutcome outcome, Audit(relation));
-  return audit::BuildQualityReport(outcome, rel->schema());
+  SEMANDAQ_ASSIGN_OR_RETURN(EpochRead read, Read(relation));
+  return read.Report();
 }
 
 common::Result<std::string> Semandaq::QualityMap(const std::string& relation,
                                                  size_t max_rows) {
-  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
-                            db_.GetRelation(relation));
-  SEMANDAQ_ASSIGN_OR_RETURN(detect::ViolationTable table, DetectErrors(relation));
-  return audit::AsciiRender::QualityMap(*rel, table, max_rows);
+  SEMANDAQ_ASSIGN_OR_RETURN(EpochRead read, Read(relation));
+  return read.QualityMap(max_rows);
 }
 
 common::Result<repair::RepairResult> Semandaq::Clean(const std::string& relation,
                                                      repair::RepairOptions options,
                                                      repair::CostModelOptions cost) {
-  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
-                            db_.GetRelation(relation));
+  SEMANDAQ_ASSIGN_OR_RETURN(EpochRead read, Read(relation));
   // Same lane policy as DiscoverFrom: only num_threads == 0 borrows the
   // shared hardware-width pool; an explicit N >= 2 gets a private N-lane
   // pool from the repair engine itself, and 1 repairs serially. The
@@ -302,10 +317,7 @@ common::Result<repair::RepairResult> Semandaq::Clean(const std::string& relation
   if (options.pool == nullptr && options.num_threads == 0) {
     options.pool = PoolFor(options.num_threads);
   }
-  repair::CostModel model(rel->schema(), std::move(cost));
-  repair::BatchRepair cleaner(rel, engine_.CfdsFor(relation), std::move(model),
-                              std::move(options));
-  return cleaner.Run();
+  return read.Clean(std::move(options), std::move(cost));
 }
 
 common::Result<std::unique_ptr<repair::RepairReview>> Semandaq::Review(
@@ -349,10 +361,8 @@ common::Result<std::unique_ptr<monitor::DataMonitor>> Semandaq::StartMonitor(
 }
 
 common::Result<DataExplorer> Semandaq::Explore(const std::string& relation) {
-  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
-                            db_.GetRelation(relation));
-  SEMANDAQ_ASSIGN_OR_RETURN(detect::ViolationTable table, DetectErrors(relation));
-  return DataExplorer(rel, engine_.CfdsFor(relation), std::move(table));
+  SEMANDAQ_ASSIGN_OR_RETURN(EpochRead read, Read(relation));
+  return read.Explore();
 }
 
 }  // namespace semandaq::core

@@ -2,17 +2,18 @@
 #define SEMANDAQ_CORE_SEMANDAQ_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "audit/metrics.h"
 #include "audit/report.h"
 #include "common/cancel.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/constraint_engine.h"
+#include "core/epoch.h"
 #include "core/explorer.h"
 #include "detect/native_detector.h"
 #include "detect/violation.h"
@@ -34,6 +35,11 @@ namespace semandaq::core {
 /// the components is diagrammed in docs/architecture.md; the text-command
 /// grammar over this facade is server::SemandaqService (server/service.h),
 /// which the CLI and the TCP server both run.
+///
+/// State model: a relation is held ready to compute only as published
+/// epochs (core/epoch.h). The by-name reads below republish only when the
+/// master moved since the last capture, then run the same EpochRead
+/// functions the server's read verbs run on their pinned epochs.
 ///
 /// Typical session, mirroring the demonstration flow of §3:
 ///
@@ -73,9 +79,9 @@ class Semandaq {
   }
 
   /// Persists `relation` as a binary columnar snapshot at `path` (plus a
-  /// fresh WAL sidecar at `path + ".wal"`), using — and warming — the
-  /// facade's encoded snapshot of the relation, so a save also primes
-  /// subsequent detections. See docs/storage.md for the format.
+  /// fresh WAL sidecar at `path + ".wal"`), written from the master's
+  /// encoded form after bringing the published epoch up to date, so a save
+  /// also primes subsequent reads. See docs/storage.md for the format.
   ///
   /// `compact_after` arms the relation's compaction policy: once more than
   /// that many mutation records have accumulated in the WAL sidecar,
@@ -142,24 +148,24 @@ class Semandaq {
 
   /// Loads a snapshot (replaying any WAL tail through the relation and the
   /// encoded append path) and registers it as `name`. The loaded code
-  /// columns are adopted as the relation's warm encoded snapshot — the
-  /// first DetectErrors after an open pays no re-encode. Fails without
-  /// side effects if `name` is taken or the files are corrupt — and
+  /// columns are adopted as the master's encoded form and published as the
+  /// next epoch — the first read after an open pays no re-encode. Fails
+  /// without side effects if `name` is taken or the files are corrupt — and
   /// likewise when `cancel` (common/cancel.h) trips mid-replay: the
   /// half-replayed relation is dropped before the status escapes.
   common::Result<OpenStats> OpenRelation(const std::string& name,
                                          const std::string& path,
                                          common::CancelToken* cancel = nullptr);
 
-  /// The warm encoded snapshot DetectErrors uses for `relation`; nullptr
-  /// when none exists yet (exposed for tests and benches).
-  relational::EncodedRelation* WarmSnapshot(const std::string& relation);
+  /// The latest published epoch of `relation` (nullptr if none), safe to
+  /// call while another thread runs Publish; never republishes.
+  SnapshotPtr Pin(const std::string& relation) const;
+  std::vector<SnapshotPtr> PinAll() const;  ///< every published relation
 
-  /// The warm encoded snapshot for `relation`, built (and cached) on the
-  /// spot when none exists yet, and Sync'd either way — the server's
-  /// publication path uses this so every pinned epoch freezes off one
-  /// warm, in-sync encoded form. nullptr when the relation is unknown.
-  relational::EncodedRelation* WarmOrEncode(const std::string& relation);
+  /// Writer side: syncs `relation`'s master encoding (encoding afresh when
+  /// the relation is new or was replaced) and publishes the next epoch.
+  /// Callers serialize it with every mutation (the server's writer lock).
+  common::Result<SnapshotPtr> Publish(const std::string& relation);
 
   /// The live WAL attachment journaling `relation`'s mutations into its
   /// snapshot sidecar; nullptr when the relation has no attached snapshot
@@ -190,10 +196,7 @@ class Semandaq {
       const std::string& relation, DetectorKind kind = DetectorKind::kNative,
       std::optional<detect::DetectorOptions> options = std::nullopt);
 
-  /// Error detector + data auditor.
-  common::Result<audit::AuditOutcome> Audit(const std::string& relation);
-
-  /// Full data quality report (Fig. 4 content).
+  /// Error detector + data auditor: the data quality report (Fig. 4).
   common::Result<audit::QualityReport> Report(const std::string& relation);
 
   /// The tuple-level data quality map (Fig. 3 content).
@@ -228,8 +231,8 @@ class Semandaq {
       repair::RepairOptions options = {}, repair::CostModelOptions cost = {});
 
   /// Drill-down explorer over a fresh detection of `relation`. The explorer
-  /// owns its CFD copy and violation table and borrows the relation, which
-  /// must stay alive and unmodified while it is used.
+  /// owns its CFD copy and violation table and keeps the epoch it explores
+  /// alive, so later writes to (or a drop of) the master never reach it.
   common::Result<DataExplorer> Explore(const std::string& relation);
 
  private:
@@ -240,16 +243,13 @@ class Semandaq {
   /// the lanes they run on.
   common::ThreadPool* PoolFor(size_t num_threads);
 
-  /// A native detector over `relation` and its CFDs, wired to the shared
-  /// pool and the (synced) warm snapshot.
-  common::Result<detect::NativeDetector> NativeDetectorFor(
-      const std::string& relation,
-      std::optional<detect::DetectorOptions> options);
+  /// The latest epoch, republished first when the master moved since its
+  /// capture (version counters advanced, or the relation was replaced).
+  common::Result<SnapshotPtr> Current(const std::string& relation);
 
-  /// The warm snapshot for `relation` if it still describes `rel` (a
-  /// replaced relation drops its stale entry); nullptr otherwise.
-  relational::EncodedRelation* FindWarm(const std::string& relation,
-                                        const relational::Relation* rel);
+  /// A read of Current(relation) with its CFDs, detecting with `options`.
+  common::Result<EpochRead> Read(const std::string& relation,
+                                 const detect::DetectorOptions& options = {});
 
   /// Opens the sidecar at WalPathFor(path) and installs it as `rel`'s
   /// mutation observer, replacing any previous attachment for the name.
@@ -262,10 +262,19 @@ class Semandaq {
   ConstraintEngine engine_;
   std::unique_ptr<common::ThreadPool> pool_;
 
-  /// Warm encoded snapshots by lowercase relation name, fed by
-  /// SaveRelation/OpenRelation and consumed (and Sync'd) by DetectErrors.
-  std::unordered_map<std::string, std::unique_ptr<relational::EncodedRelation>>
-      warm_;
+  /// One relation's publication state; only `snap` is shared with readers
+  /// (under pubs_mu_). Only Publish syncs `encoded`, so `snap` is current
+  /// exactly when `identity` matches the master and `encoded` is in sync.
+  struct Publication {
+    std::unique_ptr<relational::EncodedRelation> encoded;
+    uint64_t identity = 0;  ///< Relation::identity() `encoded` describes
+    uint64_t next_epoch = 1;
+    SnapshotPtr snap;
+  };
+
+  /// By lowercase relation name; pubs_mu_ guards the map and every `snap`.
+  mutable std::mutex pubs_mu_;
+  std::unordered_map<std::string, Publication> pubs_;
 
   /// Snapshot path + compaction threshold + WAL durability armed by the
   /// last SaveRelation of each (lowercase) relation name; consulted by

@@ -27,19 +27,19 @@ namespace simd = common::simd;
 
 common::Result<ViolationTable> NativeDetector::Detect() {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
-  if (const EncodedRelation* warm = WarmSnapshot()) return DetectEncoded(*warm);
+  if (const EncodedRelation* warm = UsableEncoding()) return DetectEncoded(*warm);
   const EncodedRelation local(rel_, pool_, options_.cancel);
   return DetectEncoded(local);
 }
 
 common::Result<ViolationCounts> NativeDetector::Count() {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, rel_->schema()));
-  if (const EncodedRelation* warm = WarmSnapshot()) return CountEncoded(*warm);
+  if (const EncodedRelation* warm = UsableEncoding()) return CountEncoded(*warm);
   const EncodedRelation local(rel_, pool_, options_.cancel);
   return CountEncoded(local);
 }
 
-const EncodedRelation* NativeDetector::WarmSnapshot() const {
+const EncodedRelation* NativeDetector::UsableEncoding() const {
   const bool usable = encoded_ != nullptr && &encoded_->relation() == rel_ &&
                       encoded_->InSync();
   return usable ? encoded_ : nullptr;

@@ -125,7 +125,7 @@ class NativeDetector {
   common::Result<ViolationCounts> CountEncoded(
       const relational::EncodedRelation& enc);
   /// The attached snapshot when it is usable for rel_, else nullptr.
-  const relational::EncodedRelation* WarmSnapshot() const;
+  const relational::EncodedRelation* UsableEncoding() const;
 
   const relational::Relation* rel_;
   std::vector<cfd::Cfd> cfds_;

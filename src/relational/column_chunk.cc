@@ -127,4 +127,28 @@ std::vector<Row> DecodeRowsFromColumns(
   return rows;
 }
 
+Relation RelationOverColumns(std::string name, Schema schema,
+                             std::vector<uint8_t> live,
+                             std::vector<std::shared_ptr<Dictionary>> dicts,
+                             const std::vector<CodeColumn>& columns) {
+  // Shared by the hydrator closure and by its copies when an unhydrated
+  // relation is cloned.
+  struct Source {
+    std::vector<std::shared_ptr<Dictionary>> dicts;
+    std::vector<CodeColumn> columns;  // frozen views
+    std::vector<uint8_t> live;
+  };
+  auto source = std::make_shared<Source>();
+  source->dicts = std::move(dicts);
+  for (const CodeColumn& col : columns) {
+    source->columns.push_back(col.ShareFrozen());
+  }
+  source->live = live;
+  return Relation::FromStorage(
+      std::move(name), std::move(schema), std::move(live), [source]() {
+        return DecodeRowsFromColumns(source->dicts, source->columns,
+                                     source->live);
+      });
+}
+
 }  // namespace semandaq::relational

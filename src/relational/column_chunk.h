@@ -7,12 +7,13 @@
 #include <vector>
 
 #include "relational/dictionary.h"
+#include "relational/relation.h"
 
 namespace semandaq::relational {
 
 /// A refcounted, fixed-capacity block of column codes — the storage unit
-/// behind CodeColumn and the epoch-published snapshots of the server layer
-/// (src/server). A chunk itself carries no length: the logical size lives
+/// behind CodeColumn and the epoch-published snapshots of the facade
+/// (core/epoch.h). A chunk itself carries no length: the logical size lives
 /// in every CodeColumn (or frozen snapshot view) that references it, which
 /// is what makes lock-free publication work:
 ///
@@ -163,13 +164,20 @@ class CodeColumn {
 
 /// Decodes the live rows of a chunked snapshot back into materialized Rows
 /// (dead ids keep empty placeholder rows, matching the storage loader's
-/// semantics). This is the shared row hydrator of the storage load path
-/// and the server's pinned snapshots: both defer row materialization to
-/// first access and decode from the same refcounted chunks + dictionaries
-/// the encoded scans use, so nothing retains a second copy of the data.
+/// semantics).
 std::vector<Row> DecodeRowsFromColumns(
     const std::vector<std::shared_ptr<Dictionary>>& dicts,
     const std::vector<CodeColumn>& columns, const std::vector<uint8_t>& live);
+
+/// A relation whose rows hydrate on first access (Relation::FromStorage)
+/// by decoding frozen views of `columns` with `dicts`. The storage load
+/// path and published epochs both hold rows this way: they share the same
+/// refcounted chunks and dictionaries the encoded scans use, so nothing
+/// retains a second copy of the data.
+Relation RelationOverColumns(std::string name, Schema schema,
+                             std::vector<uint8_t> live,
+                             std::vector<std::shared_ptr<Dictionary>> dicts,
+                             const std::vector<CodeColumn>& columns);
 
 }  // namespace semandaq::relational
 

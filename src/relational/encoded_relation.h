@@ -49,7 +49,7 @@ namespace semandaq::relational {
 /// keeps precompiled pattern codes valid across deltas — and bounded by
 /// update volume; a full Rebuild() (or a fresh snapshot) compacts.
 ///
-/// Sharing protocol (the server's epoch-published snapshots, docs/server.md).
+/// Sharing protocol (the facade's epoch-published snapshots, docs/server.md).
 /// Freeze() captures an immutable view of the current encoded state in O(1)
 /// per column: frozen views share the chunks and dictionaries by refcount.
 /// Afterwards the writer may keep mutating this object freely — appends land
@@ -86,7 +86,7 @@ class EncodedRelation {
 
   /// An immutable view of the current encoded state for `view_rel` — a
   /// frozen materialization of the same tuples this snapshot describes
-  /// (the server's epoch publication copies liveness into a fresh Relation
+  /// (the facade's epoch publication copies liveness into a fresh Relation
   /// and pairs it with this). O(1) per column: chunks and dictionaries are
   /// shared by refcount, and the writer detaches copy-on-write before any
   /// in-place rewrite, so the view's contents never change. The view is
@@ -160,10 +160,12 @@ class EncodedRelation {
   /// a published snapshot.
   Dictionary& mutable_dictionary(size_t col) { return MutableDict(col); }
 
-  /// The refcounted dictionary itself (shared with frozen views).
-  const std::shared_ptr<Dictionary>& shared_dictionary(size_t col) const {
-    return dicts_[col];
+  /// The refcounted dictionaries and code columns themselves (shared with
+  /// frozen views).
+  const std::vector<std::shared_ptr<Dictionary>>& dictionaries() const {
+    return dicts_;
   }
+  const std::vector<CodeColumn>& columns() const { return columns_; }
 
   /// Decoded value of a cell (NULL for kNullCode).
   const Value& Decode(size_t col, Code code) const {

@@ -36,6 +36,7 @@ Relation& Relation::operator=(const Relation& other) {
   live_count_ = other.live_count_;
   version_ = other.version_;
   overwrite_version_ = other.overwrite_version_;
+  identity_ = NextIdentity();
   observer_ = nullptr;
   return *this;
 }
@@ -71,6 +72,7 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   live_count_ = other.live_count_;
   version_ = other.version_;
   overwrite_version_ = other.overwrite_version_;
+  identity_ = NextIdentity();
   observer_ = other.observer_;
   other.observer_ = nullptr;
   other.needs_hydration_.store(false, std::memory_order_release);

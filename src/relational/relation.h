@@ -117,6 +117,10 @@ class Relation {
   /// appends/deletes and can catch up without a full rebuild.
   uint64_t overwrite_version() const { return overwrite_version_; }
 
+  /// Process-unique stamp, fresh for every constructed relation and after
+  /// every assignment over one (Database::PutRelation replaces in place).
+  uint64_t identity() const { return identity_; }
+
   /// Materializes lazily loaded rows (no-op for every relation not built
   /// by FromStorage, and after the first call). Every row accessor invokes
   /// this automatically. Hydration itself is thread-safe (double-checked
@@ -185,6 +189,11 @@ class Relation {
   /// Runs and discards the installed hydrator (see FromStorage).
   void HydrateRows() const;
 
+  static uint64_t NextIdentity() {
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
   std::string name_;
   Schema schema_;
   // Logically const row access may materialize lazily loaded rows, hence
@@ -202,6 +211,7 @@ class Relation {
   size_t live_count_ = 0;
   uint64_t version_ = 0;
   uint64_t overwrite_version_ = 0;
+  uint64_t identity_ = NextIdentity();
   MutationObserver* observer_ = nullptr;  // borrowed; never copied
 };
 

@@ -1,6 +1,8 @@
 #include "server/service.h"
 
+#include <memory>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "audit/render.h"
@@ -11,7 +13,6 @@
 #include "detect/native_detector.h"
 #include "discovery/cfd_miner.h"
 #include "relational/csv_io.h"
-#include "repair/cost_model.h"
 #include "sql/engine.h"
 #include "workload/customer_gen.h"
 #include "workload/hospital_gen.h"
@@ -20,6 +21,7 @@ namespace semandaq::server {
 
 using common::Result;
 using common::Status;
+using core::SnapshotPtr;
 
 SemandaqService::SemandaqService(ServiceOptions options)
     : scheduler_(options.scheduler_lanes),
@@ -96,45 +98,15 @@ std::string SemandaqService::RenderStats() const {
   return out.str();
 }
 
-std::shared_ptr<SemandaqService::Slot> SemandaqService::SlotFor(
-    const std::string& relation, bool create) {
-  const std::string key = common::ToLower(relation);
-  std::lock_guard<std::mutex> lock(slots_mu_);
-  auto it = slots_.find(key);
-  if (it != slots_.end()) return it->second;
-  if (!create) return nullptr;
-  auto slot = std::make_shared<Slot>();
-  slots_[key] = slot;
-  return slot;
-}
-
-common::Status SemandaqService::RepublishLocked(const std::string& relation) {
-  std::shared_ptr<Slot> slot = SlotFor(relation, true);
-  relational::Relation* rel = sys_.database().FindMutableRelation(relation);
-  if (rel == nullptr) {
-    std::atomic_store(&slot->snap, SnapshotPtr());
-    return Status::OK();
-  }
-  relational::EncodedRelation* warm = sys_.WarmOrEncode(relation);
-  SnapshotPtr snap = BuildRelationSnapshot(*rel, *warm, slot->next_epoch++);
-  std::atomic_store(&slot->snap, std::move(snap));
-  return Status::OK();
-}
-
 SnapshotPtr SemandaqService::Pin(const std::string& relation) {
-  if (std::shared_ptr<Slot> slot = SlotFor(relation, false)) {
-    if (SnapshotPtr snap = std::atomic_load(&slot->snap)) {
-      stats_.epochs_served.fetch_add(1, std::memory_order_relaxed);
-      return snap;
-    }
+  SnapshotPtr snap = sys_.Pin(relation);
+  if (snap == nullptr) {
+    // Nothing published yet (a relation connected through the facade
+    // directly): publish the first epoch under the writer lock, or stay
+    // empty for an unknown relation.
+    std::lock_guard<std::mutex> lock(sys_mu_);
+    snap = sys_.Publish(relation).ValueOr(nullptr);
   }
-  // Nothing published yet: publish the first epoch under the writer lock
-  // (a relation connected through the facade directly, or a lost race
-  // with a concurrent drop — in which case stay empty).
-  std::lock_guard<std::mutex> lock(sys_mu_);
-  if (sys_.database().FindRelation(relation) == nullptr) return nullptr;
-  if (!RepublishLocked(relation).ok()) return nullptr;
-  SnapshotPtr snap = std::atomic_load(&SlotFor(relation, false)->snap);
   if (snap != nullptr) {
     stats_.epochs_served.fetch_add(1, std::memory_order_relaxed);
   }
@@ -154,8 +126,10 @@ common::Result<size_t> SemandaqService::AppendBatch(
   for (relational::Row& row : rows) {
     SEMANDAQ_RETURN_IF_ERROR(rel->Insert(std::move(row)).status());
   }
+  // Publish first: a due compaction then re-saves from the fresh epoch's
+  // encoding instead of publishing one of its own.
+  SEMANDAQ_RETURN_IF_ERROR(sys_.Publish(relation).status());
   SEMANDAQ_RETURN_IF_ERROR(sys_.CompactIfDue(relation).status());
-  SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(relation));
   return rows.size();
 }
 
@@ -211,7 +185,7 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
   if (verb == "apply") return CmdApply(session);
 
   // Everything else mutates the master or walks the shared catalog:
-  // serialized behind the writer lock, republishing what it touched.
+  // serialized behind the writer lock, publishing what it touched.
   std::lock_guard<std::mutex> lock(sys_mu_);
 
   if (verb == "ls") {
@@ -231,7 +205,7 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
     SEMANDAQ_ASSIGN_OR_RETURN(relational::Relation rel,
                               relational::LoadRelationCsv(args[0], args[1]));
     SEMANDAQ_RETURN_IF_ERROR(sys_.Connect(std::move(rel)));
-    SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(args[0]));
+    SEMANDAQ_RETURN_IF_ERROR(sys_.Publish(args[0]).status());
     return "loaded " + args[0] + "\n";
   }
 
@@ -264,7 +238,6 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
     }
     SEMANDAQ_ASSIGN_OR_RETURN(auto stats,
                               sys_.OpenRelation(args[0], args[1], cancel));
-    SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(args[0]));
     return "opened " + args[0] + " from " + args[1] + " (" +
            std::to_string(stats.live_rows) + " tuples, " +
            std::to_string(stats.num_columns) + " columns, +" +
@@ -281,9 +254,6 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
   if (verb == "opendb") {
     if (args.size() != 1) return Status::InvalidArgument("usage: opendb DIR");
     SEMANDAQ_ASSIGN_OR_RETURN(auto stats, sys_.OpenDatabase(args[0], cancel));
-    for (const auto& name : sys_.database().RelationNames()) {
-      SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(name));
-    }
     return "opened " + std::to_string(stats.relations) + " relation(s) from " +
            args[0] + " (" + std::to_string(stats.live_rows) + " tuples, +" +
            std::to_string(stats.wal_records) + " wal record(s))\n";
@@ -296,33 +266,28 @@ common::Result<std::string> SemandaqService::ExecuteAdmitted(
     SEMANDAQ_ASSIGN_OR_RETURN(size_t n, core::ParseCount(args[1]));
     SEMANDAQ_ASSIGN_OR_RETURN(size_t noise_pct, core::ParseCount(args[2]));
     const double noise = static_cast<double>(noise_pct) / 100.0;
+    // Connects a generated workload's (dirty, gold) pair, publishing both.
+    auto connect = [&](auto wl) -> Result<std::string> {
+      const std::string name = wl.dirty.name();
+      const std::string gold = wl.clean.name();
+      SEMANDAQ_RETURN_IF_ERROR(sys_.Connect(std::move(wl.dirty)));
+      SEMANDAQ_RETURN_IF_ERROR(sys_.Connect(std::move(wl.clean)));
+      SEMANDAQ_RETURN_IF_ERROR(sys_.Publish(name).status());
+      SEMANDAQ_RETURN_IF_ERROR(sys_.Publish(gold).status());
+      return "generated " + name + " (+ " + gold + "), " + std::to_string(n) +
+             " tuples at " + args[2] + "% noise\n";
+    };
     if (common::EqualsIgnoreCase(args[0], "customer")) {
       workload::CustomerWorkloadOptions opts;
       opts.num_tuples = n;
       opts.noise_rate = noise;
-      auto wl = workload::CustomerGenerator::Generate(opts);
-      const std::string dirty = wl.dirty.name();
-      const std::string clean = wl.clean.name();
-      SEMANDAQ_RETURN_IF_ERROR(sys_.Connect(std::move(wl.dirty)));
-      SEMANDAQ_RETURN_IF_ERROR(sys_.Connect(std::move(wl.clean)));
-      SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(dirty));
-      SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(clean));
-      return "generated customer (+ customer_gold), " + std::to_string(n) +
-             " tuples at " + args[2] + "% noise\n";
+      return connect(workload::CustomerGenerator::Generate(opts));
     }
     if (common::EqualsIgnoreCase(args[0], "hospital")) {
       workload::HospitalWorkloadOptions opts;
       opts.num_tuples = n;
       opts.noise_rate = noise;
-      auto wl = workload::HospitalGenerator::Generate(opts);
-      const std::string dirty = wl.dirty.name();
-      const std::string clean = wl.clean.name();
-      SEMANDAQ_RETURN_IF_ERROR(sys_.Connect(std::move(wl.dirty)));
-      SEMANDAQ_RETURN_IF_ERROR(sys_.Connect(std::move(wl.clean)));
-      SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(dirty));
-      SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(clean));
-      return "generated hospital (+ hospital_gold), " + std::to_string(n) +
-             " tuples at " + args[2] + "% noise\n";
+      return connect(workload::HospitalGenerator::Generate(opts));
     }
     return Status::InvalidArgument("unknown workload: " + args[0]);
   }
@@ -417,13 +382,11 @@ common::Result<std::string> SemandaqService::CmdDetect(
 
   SnapshotPtr snap = Pin(args[0]);
   if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
   options.cancel = cancel;
-  detect::NativeDetector detector(&snap->relation, std::move(cfds), options);
-  detector.set_encoded(&*snap->encoded);
+  const core::EpochRead read{std::move(snap), CfdsFor(args[0]), options};
   // `detect` reports only the summary, so the count path never builds the
   // violation table. Count scans serially, so no worker lanes are leased.
-  SEMANDAQ_ASSIGN_OR_RETURN(auto counts, detector.Count());
+  SEMANDAQ_ASSIGN_OR_RETURN(auto counts, read.Detector().Count());
   return counts.ToString() + "\n";
 }
 
@@ -483,17 +446,13 @@ common::Result<std::string> SemandaqService::CmdClean(
           "' (usage: clean REL [threads=N] [simd=LEVEL])");
     }
   }
-  SnapshotPtr snap = Pin(args[0]);
-  if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  ThreadLease lease = scheduler_.Acquire(options.num_threads);
-  options.num_threads = lease.lanes();
-  options.pool = lease.pool();
+  SEMANDAQ_ASSIGN_OR_RETURN(
+      LeasedRead pinned, PinnedRead(args[0], options.num_threads, cancel));
+  options.num_threads = pinned.lease.lanes();
+  options.pool = pinned.lease.pool();
   options.cancel = cancel;
-  repair::CostModel model(snap->relation.schema(), {});
-  repair::BatchRepair cleaner(&snap->relation, std::move(cfds),
-                              std::move(model), std::move(options));
-  SEMANDAQ_ASSIGN_OR_RETURN(auto repair, cleaner.Run());
+  SEMANDAQ_ASSIGN_OR_RETURN(auto repair,
+                            pinned.read.Clean(std::move(options)));
   std::ostringstream out;
   out << "candidate repair: " << repair.changes.size() << " cell(s), cost "
       << repair.total_cost << ", " << repair.iterations << " round(s), "
@@ -542,10 +501,10 @@ common::Result<std::string> SemandaqService::CmdApply(SessionState* session) {
   session->pending_repair.reset();
   std::string out = "applied " + std::to_string(n) + " change(s) to " +
                     session->pending_relation;
+  SEMANDAQ_RETURN_IF_ERROR(sys_.Publish(session->pending_relation).status());
   SEMANDAQ_ASSIGN_OR_RETURN(bool compacted,
                             sys_.CompactIfDue(session->pending_relation));
   if (compacted) out += " (snapshot compacted)";
-  SEMANDAQ_RETURN_IF_ERROR(RepublishLocked(session->pending_relation));
   return out + "\n";
 }
 
@@ -556,24 +515,15 @@ common::Result<std::string> SemandaqService::CmdMap(
   if (args.size() > 1) {
     SEMANDAQ_ASSIGN_OR_RETURN(n, core::ParseCount(args[1]));
   }
-  SnapshotPtr snap = Pin(args[0]);
-  if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table,
-                            DetectPinned(*snap, CfdsFor(args[0]), cancel));
-  return audit::AsciiRender::QualityMap(snap->relation, table, n);
+  SEMANDAQ_ASSIGN_OR_RETURN(LeasedRead pinned, PinnedRead(args[0], 0, cancel));
+  return pinned.read.QualityMap(n);
 }
 
 common::Result<std::string> SemandaqService::CmdReport(
     const std::vector<std::string>& args, common::CancelToken* cancel) {
   if (args.size() != 1) return Status::InvalidArgument("usage: report REL");
-  SnapshotPtr snap = Pin(args[0]);
-  if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, DetectPinned(*snap, cfds, cancel));
-  audit::DataAuditor auditor(&snap->relation, std::move(cfds));
-  SEMANDAQ_ASSIGN_OR_RETURN(auto outcome, auditor.Audit(table));
-  const audit::QualityReport report =
-      audit::BuildQualityReport(outcome, snap->relation.schema());
+  SEMANDAQ_ASSIGN_OR_RETURN(LeasedRead pinned, PinnedRead(args[0], 0, cancel));
+  SEMANDAQ_ASSIGN_OR_RETURN(audit::QualityReport report, pinned.read.Report());
   return audit::AsciiRender::BarChart(report) + "\n" +
          audit::AsciiRender::PieChart(report) + "\n" +
          audit::AsciiRender::Statistics(report);
@@ -586,12 +536,8 @@ common::Result<std::string> SemandaqService::CmdExplore(
   }
   SEMANDAQ_ASSIGN_OR_RETURN(size_t ci, core::ParseCount(args[1]));
   SEMANDAQ_ASSIGN_OR_RETURN(size_t pi, core::ParseCount(args[2]));
-  SnapshotPtr snap = Pin(args[0]);
-  if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
-  std::vector<cfd::Cfd> cfds = CfdsFor(args[0]);
-  SEMANDAQ_ASSIGN_OR_RETURN(auto table, DetectPinned(*snap, cfds, cancel));
-  const core::DataExplorer explorer(&snap->relation, std::move(cfds),
-                                    std::move(table));
+  SEMANDAQ_ASSIGN_OR_RETURN(LeasedRead pinned, PinnedRead(args[0], 0, cancel));
+  SEMANDAQ_ASSIGN_OR_RETURN(core::DataExplorer explorer, pinned.read.Explore());
   SEMANDAQ_ASSIGN_OR_RETURN(auto matches,
                             explorer.LhsMatches(static_cast<int>(ci),
                                                 static_cast<int>(pi)));
@@ -600,17 +546,19 @@ common::Result<std::string> SemandaqService::CmdExplore(
                                   matches.front().lhs);
 }
 
-common::Result<detect::ViolationTable> SemandaqService::DetectPinned(
-    const RelationSnapshot& snap, const std::vector<cfd::Cfd>& cfds,
-    common::CancelToken* cancel) {
-  ThreadLease lease = scheduler_.Acquire(0);
+common::Result<SemandaqService::LeasedRead> SemandaqService::PinnedRead(
+    const std::string& relation, size_t lanes, common::CancelToken* cancel) {
+  SnapshotPtr snap = Pin(relation);
+  if (snap == nullptr) return Status::NotFound("no relation named " + relation);
+  std::vector<cfd::Cfd> cfds = CfdsFor(relation);
+  ThreadLease lease = scheduler_.Acquire(lanes);
   detect::DetectorOptions options;
   options.num_threads = lease.lanes();
   options.cancel = cancel;
-  detect::NativeDetector detector(&snap.relation, cfds, options);
-  detector.set_thread_pool(lease.pool());
-  detector.set_encoded(&*snap.encoded);
-  return detector.Detect();
+  common::ThreadPool* pool = lease.pool();
+  return LeasedRead{std::move(lease),
+                    core::EpochRead{std::move(snap), std::move(cfds), options,
+                                    pool}};
 }
 
 common::Result<std::string> SemandaqService::CmdSql(
@@ -618,20 +566,7 @@ common::Result<std::string> SemandaqService::CmdSql(
   // Pin one consistent set: the latest epoch of every published relation.
   // The scratch catalog below is built from those pins alone, so the
   // query never touches the live master (and holds no lock while it runs).
-  std::vector<SnapshotPtr> pinned;
-  {
-    std::vector<std::shared_ptr<Slot>> slots;
-    {
-      std::lock_guard<std::mutex> lock(slots_mu_);
-      slots.reserve(slots_.size());
-      for (const auto& [key, slot] : slots_) slots.push_back(slot);
-    }
-    for (const auto& slot : slots) {
-      if (SnapshotPtr snap = std::atomic_load(&slot->snap)) {
-        pinned.push_back(std::move(snap));
-      }
-    }
-  }
+  const std::vector<SnapshotPtr> pinned = sys_.PinAll();
   relational::Database scratch;
   std::vector<std::unique_ptr<relational::EncodedRelation>> frozen;
   std::unordered_map<const relational::Relation*,
@@ -639,7 +574,8 @@ common::Result<std::string> SemandaqService::CmdSql(
       encoded_of;
   for (const SnapshotPtr& snap : pinned) {
     SEMANDAQ_RETURN_IF_ERROR(scratch.AddRelation(snap->relation.Clone()));
-    relational::Relation* rel = scratch.FindMutableRelation(snap->name);
+    relational::Relation* rel =
+        scratch.FindMutableRelation(snap->relation.name());
     frozen.push_back(std::make_unique<relational::EncodedRelation>(
         snap->encoded->Freeze(rel)));
     encoded_of[rel] = frozen.back().get();

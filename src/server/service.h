@@ -3,20 +3,18 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/status.h"
+#include "core/epoch.h"
 #include "core/semandaq.h"
 #include "repair/batch_repair.h"
 #include "server/scheduler.h"
-#include "server/snapshot.h"
 
 namespace semandaq::server {
 
@@ -58,16 +56,17 @@ struct ServiceStats {
 ///
 /// Concurrency model (docs/server.md):
 ///
-///   * Every relation has a publication slot holding the latest
-///     RelationSnapshot, swapped with atomic shared_ptr publication.
+///   * The facade publishes every relation's epochs (core::Semandaq::Pin /
+///     Publish); the service holds no per-relation state of its own.
 ///     Read commands (detect / mine / clean / sql / show / map / report /
-///     epoch) pin the snapshot with one atomic load and compute on it
-///     lock-free — they never block on writers, and a writer never waits
+///     explore / epoch) pin the latest epoch and compute on it lock-free,
+///     through the same core::EpochRead functions the facade's by-name
+///     reads use — they never block on writers, and a writer never waits
 ///     for readers (old epochs die by refcount when the last pin drops).
 ///   * Write commands (load / open / gen / apply / savedb / opendb / the
 ///     programmatic AppendBatch) and constraint/catalog commands take
-///     `sys_mu_`, mutate the master through the facade, and republish the
-///     affected slots before releasing it.
+///     `sys_mu_`, mutate the master through the facade, and publish the
+///     affected relations' next epochs before releasing it.
 ///   * Mining is read-compute + a brief write tail: the levelwise sweep
 ///     runs on the pinned epoch, only the final AddCfd batch takes the
 ///     writer lock.
@@ -129,7 +128,7 @@ class SemandaqService {
   /// if the relation exists but was never published). nullptr when the
   /// relation is unknown. The returned snapshot stays valid and immutable
   /// for as long as the pointer is held.
-  SnapshotPtr Pin(const std::string& relation);
+  core::SnapshotPtr Pin(const std::string& relation);
 
   /// Appends `rows` to `relation` as one write batch and publishes the new
   /// epoch (the programmatic writer the concurrency stress test and
@@ -153,27 +152,19 @@ class SemandaqService {
   core::Semandaq& system_unsynchronized() { return sys_; }
 
  private:
-  /// One relation's publication slot. `snap` is accessed with the atomic
-  /// shared_ptr free functions; `next_epoch` only under sys_mu_.
-  struct Slot {
-    SnapshotPtr snap;
-    uint64_t next_epoch = 1;
-  };
-
-  /// The slot for `relation` (lowercase key), created on demand.
-  std::shared_ptr<Slot> SlotFor(const std::string& relation, bool create);
-
-  /// Rebuilds and publishes `relation`'s snapshot from the master (or
-  /// clears the slot if the relation vanished). Caller holds sys_mu_.
-  common::Status RepublishLocked(const std::string& relation);
-
   /// Copy of the CFDs registered for `relation` (brief sys_mu_ hold).
   std::vector<cfd::Cfd> CfdsFor(const std::string& relation);
 
-  /// Full detection of `cfds` on a pinned epoch, on leased lanes.
-  common::Result<detect::ViolationTable> DetectPinned(
-      const RelationSnapshot& snap, const std::vector<cfd::Cfd>& cfds,
-      common::CancelToken* cancel);
+  /// A read of `relation`'s pinned epoch with its CFDs, detecting under
+  /// `cancel` on `lanes` requested lanes, leased after the pin. NotFound
+  /// when the relation is unknown.
+  struct LeasedRead {
+    ThreadLease lease;
+    core::EpochRead read;
+  };
+  common::Result<LeasedRead> PinnedRead(const std::string& relation,
+                                        size_t lanes,
+                                        common::CancelToken* cancel);
 
   /// The dispatch body Execute wraps with admission control.
   common::Result<std::string> ExecuteAdmitted(SessionState* session,
@@ -212,8 +203,6 @@ class SemandaqService {
   RequestScheduler scheduler_;
   AdmissionController admission_;
   ServiceStats stats_;
-  std::mutex slots_mu_;
-  std::unordered_map<std::string, std::shared_ptr<Slot>> slots_;
 };
 
 }  // namespace semandaq::server

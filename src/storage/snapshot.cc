@@ -48,18 +48,6 @@ void PatchU64(std::string* buf, size_t at, uint64_t v) {
   std::memcpy(&(*buf)[at], &v, sizeof v);
 }
 
-/// Everything the deferred row materializer needs: frozen views of the
-/// same refcounted chunks and dictionaries the adopted EncodedRelation
-/// scans — NOT a second copy of the file. Shared by the hydrator closure
-/// and by its copies when an unhydrated relation is cloned. All of it was
-/// checksum-verified by Read before the hydrator was installed, so
-/// hydration itself cannot fail.
-struct HydrationSource {
-  std::vector<std::shared_ptr<Dictionary>> dicts;
-  std::vector<relational::CodeColumn> columns;  // frozen views
-  std::vector<uint8_t> live;  // one byte per id, nonzero = live
-};
-
 /// Verifies one section's bounds (inside the data area between header and
 /// manifest) and checksum, returning a pointer to its first byte.
 Result<const uint8_t*> CheckSection(const std::string& file, uint64_t offset,
@@ -419,18 +407,10 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path) {
   // dictionaries just built — by refcount, not by copy. The file buffer is
   // NOT captured: it dies when this function returns, so a loaded-but-
   // unhydrated relation holds exactly one copy of the data (the chunks).
-  auto source = std::make_shared<HydrationSource>();
-  source->dicts = out.dicts;
-  source->columns.reserve(ncols);
-  for (const auto& col : out.columns) {
-    source->columns.push_back(col.ShareFrozen());
-  }
-  source->live = live;
-  out.relation = Relation::FromStorage(
-      out.saved_name, std::move(schema), std::move(live), [source]() {
-        return relational::DecodeRowsFromColumns(source->dicts,
-                                                 source->columns, source->live);
-      });
+  // Every live code was bounds-checked above, so hydration cannot fail.
+  out.relation = relational::RelationOverColumns(
+      out.saved_name, std::move(schema), std::move(live), out.dicts,
+      out.columns);
   return out;
 }
 

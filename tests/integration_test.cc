@@ -152,6 +152,32 @@ TEST(IntegrationTest, PersistedCfdsSurviveReload) {
   EXPECT_EQ(table.TotalVio(), 5);
 }
 
+// The explorer keeps the epoch it explores alive: an insert, a repair and
+// finally dropping the relation from the master leave its drill-down
+// byte-identical.
+TEST(IntegrationTest, ExplorerOwnsItsEpoch) {
+  Semandaq sys;
+  ASSERT_OK(sys.Connect(semandaq::testing::PaperCustomerRelation()));
+  ASSERT_OK(sys.constraints().AddCfdsFromText(semandaq::testing::PaperCfdText()));
+  ASSERT_OK_AND_ASSIGN(DataExplorer explorer, sys.Explore("customer"));
+  ASSERT_OK_AND_ASSIGN(auto matches, explorer.LhsMatches(0, 0));
+  ASSERT_FALSE(matches.empty());
+  const Row lhs = matches.front().lhs;
+  const std::string before = explorer.RenderDrilldown(0, 0, lhs);
+
+  Row more = {Value::String("Liz"), Value::String("UK"),
+              Value::String("Edinburgh"), Value::String("EH2 4SD"),
+              Value::String("Lothian Rd"), Value::String("44"),
+              Value::String("131")};
+  relational::Relation* master = sys.database().FindMutableRelation("customer");
+  ASSERT_OK(master->Insert(more).status());
+  ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer"));
+  ASSERT_OK(sys.ApplyRepair("customer", repair));
+  ASSERT_OK(sys.database().DropRelation("customer"));
+
+  EXPECT_EQ(explorer.RenderDrilldown(0, 0, lhs), before);
+}
+
 TEST(IntegrationTest, ErrorsSurfaceCleanly) {
   Semandaq sys;
   EXPECT_FALSE(sys.DetectErrors("missing").ok());

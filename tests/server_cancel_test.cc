@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -166,6 +167,13 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
                        Client::Connect("127.0.0.1", server.port()));
   LoadSlowWorkload(&loader);
 
+  // Time one uncontended mine on this workload: the slot holder below runs
+  // the same mine, and the patient client's retry budget has to outlast it
+  // on any build (a sanitizer build mines many times slower).
+  const auto solo_start = Clock::now();
+  EXPECT_NE(Call(&loader, "mine customer").find("mined"), std::string::npos);
+  const int64_t solo_ms = MsSince(solo_start);
+
   // Occupy the one expensive slot...
   std::thread miner([&server] {
     auto client = Client::Connect("127.0.0.1", server.port());
@@ -189,8 +197,11 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
   EXPECT_NE(Call(&rival, "ls").find("customer"), std::string::npos);
 
   // The retrying client honors the hint and lands once the slot frees.
+  // Each retry sleeps at least half the 25 ms hint (jitter), so the budget
+  // covers five uncontended mines, and never less than 50 retries.
   ClientOptions retrying;
-  retrying.max_retries = 50;
+  retrying.max_retries =
+      std::max<int>(50, static_cast<int>(5 * solo_ms / 12) + 1);
   ASSERT_OK_AND_ASSIGN(
       Client patient,
       Client::Connect("127.0.0.1", server.port(), retrying));

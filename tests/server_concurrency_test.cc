@@ -61,7 +61,7 @@ std::string CanonicalMine(const std::vector<cfd::Cfd>& mined) {
 
 /// One observation: the pinned snapshot and what a reader computed on it.
 struct Observation {
-  SnapshotPtr snap;
+  core::SnapshotPtr snap;
   bool is_mine = false;
   std::string result;
 };
@@ -72,7 +72,7 @@ struct Observation {
 /// engine with one lane.
 std::string SerialRecompute(const Observation& obs,
                             const std::vector<cfd::Cfd>& cfds) {
-  Relation rebuilt{obs.snap->name, obs.snap->relation.schema()};
+  Relation rebuilt{obs.snap->relation.name(), obs.snap->relation.schema()};
   const TupleId bound = obs.snap->relation.IdBound();
   for (TupleId tid = 0; tid < bound; ++tid) {
     EXPECT_TRUE(obs.snap->relation.IsLive(tid));
@@ -197,7 +197,7 @@ TEST(ServerConcurrencyTest, ReadersAreByteIdenticalToSerialRunsOnTheirEpoch) {
   EXPECT_EQ(checked, kReaders * kReadsPerReader);
 
   // The final epoch contains every appended row.
-  SnapshotPtr last = service.Pin("customer");
+  core::SnapshotPtr last = service.Pin("customer");
   ASSERT_NE(last, nullptr);
   EXPECT_EQ(last->relation.size(), 400u + kWriterBatches * 3);
 

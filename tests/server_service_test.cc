@@ -13,9 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/metrics.h"
 #include "audit/render.h"
+#include "audit/report.h"
 #include "common/csv.h"
+#include "core/explorer.h"
+#include "detect/native_detector.h"
+#include "detect/sql_detector.h"
+#include "relational/database.h"
 #include "relational/value.h"
+#include "repair/batch_repair.h"
+#include "repair/cost_model.h"
 #include "server/service.h"
 #include "sql/engine.h"
 #include "storage/catalog.h"
@@ -69,34 +77,53 @@ T ValueOrEmpty(common::Result<T> r) {
 
 // The load-bearing contract: every read verb computes on a pinned epoch,
 // and its bytes must equal the same computation run directly on the
-// master (through the facade) right after it. Equality proves snapshot
-// fidelity: the pinned epoch is the master.
+// master right after it. The master side runs the engines on a cold clone
+// of the master — no published epoch, no encoding kept between calls, and
+// none of the facade's read functions, which the service shares — so
+// equality proves snapshot fidelity: the pinned epoch is the master.
 TEST(ServerServiceTest, GrammarParityWithCoreSession) {
   SemandaqService service;
   SemandaqService::SessionState state;
   core::Semandaq& sys = service.system_unsynchronized();
-  using Kind = core::Semandaq::DetectorKind;
-  auto summary = [&](Kind kind) {
-    auto table = sys.DetectErrors("customer", kind);
-    EXPECT_TRUE(table.ok()) << table.status().ToString();
-    return table.ok() ? table->Summary() + "\n" : std::string();
+  auto cold = [&] { return sys.database().FindRelation("customer")->Clone(); };
+  auto cfds = [&] { return sys.constraints().CfdsFor("customer"); };
+  auto detect = [&](const relational::Relation& rel) {
+    detect::NativeDetector detector(&rel, cfds());
+    return ValueOrEmpty(detector.Detect());
+  };
+  auto summary = [&] { return detect(cold()).Summary() + "\n"; };
+  auto sql_summary = [&] {
+    relational::Database db;
+    EXPECT_TRUE(db.AddRelation(cold()).ok());
+    detect::SqlDetector detector(&db, "customer", cfds());
+    return ValueOrEmpty(detector.Detect()).Summary() + "\n";
+  };
+  auto map = [&](size_t n) {
+    const relational::Relation rel = cold();
+    return audit::AsciiRender::QualityMap(rel, detect(rel), n);
   };
   auto report = [&] {
-    auto r = sys.Report("customer");
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    if (!r.ok()) return std::string();
-    return audit::AsciiRender::BarChart(*r) + "\n" +
-           audit::AsciiRender::PieChart(*r) + "\n" +
-           audit::AsciiRender::Statistics(*r);
+    const relational::Relation rel = cold();
+    audit::DataAuditor auditor(&rel, cfds());
+    const audit::QualityReport r = audit::BuildQualityReport(
+        ValueOrEmpty(auditor.Audit(detect(rel))), rel.schema());
+    return audit::AsciiRender::BarChart(r) + "\n" +
+           audit::AsciiRender::PieChart(r) + "\n" +
+           audit::AsciiRender::Statistics(r);
   };
   auto explore = [&](int ci, int pi) {
-    auto explorer = sys.Explore("customer");
-    EXPECT_TRUE(explorer.ok()) << explorer.status().ToString();
-    if (!explorer.ok()) return std::string();
-    auto matches = ValueOrEmpty(explorer->LhsMatches(ci, pi));
+    const relational::Relation rel = cold();
+    const core::DataExplorer explorer(&rel, cfds(), detect(rel));
+    auto matches = ValueOrEmpty(explorer.LhsMatches(ci, pi));
     EXPECT_FALSE(matches.empty());
     if (matches.empty()) return std::string();
-    return explorer->RenderDrilldown(ci, pi, matches.front().lhs);
+    return explorer.RenderDrilldown(ci, pi, matches.front().lhs);
+  };
+  auto clean = [&] {
+    const relational::Relation rel = cold();
+    repair::BatchRepair cleaner(&rel, cfds(),
+                                repair::CostModel(rel.schema(), {}));
+    return RenderCandidate(ValueOrEmpty(cleaner.Run()));
   };
   auto show = [&](size_t n) {
     return sys.database().FindRelation("customer")->ToAsciiTable(n);
@@ -120,19 +147,17 @@ TEST(ServerServiceTest, GrammarParityWithCoreSession) {
       {"cfd customer: [CC] -> [CNT] { (44 | UK), (31 | NL), (1 | US) }", {}},
       {"cfds", {}},
       {"validate customer", {}},
-      {"detect customer", [&] { return summary(Kind::kNative); }},
-      {"detect customer sql", [&] { return summary(Kind::kSql); }},
-      {"detect customer threads=3", [&] { return summary(Kind::kNative); }},
-      {"map customer 5",
-       [&] { return ValueOrEmpty(sys.QualityMap("customer", 5)); }},
+      {"detect customer", summary},
+      {"detect customer sql", sql_summary},
+      {"detect customer threads=3", summary},
+      {"map customer 5", [&] { return map(5); }},
       {"report customer", report},
       {"explore customer 0 0", [&] { return explore(0, 0); }},
       {"mine customer", {}},
-      {"clean customer",
-       [&] { return RenderCandidate(ValueOrEmpty(sys.Clean("customer"))); }},
+      {"clean customer", clean},
       {"diff", {}},
       {"apply", {}},
-      {"detect customer", [&] { return summary(Kind::kNative); }},
+      {"detect customer", summary},
       {"show customer 5", [&] { return show(5); }},
       {"sql " + query, sql},
   };
@@ -202,7 +227,7 @@ TEST(ServerServiceTest, PinnedSnapshotIsImmutableAcrossWrites) {
   SemandaqService::SessionState state;
   Exec(&service, &state, "gen customer 30 10");
 
-  SnapshotPtr pinned = service.Pin("customer");
+  core::SnapshotPtr pinned = service.Pin("customer");
   ASSERT_NE(pinned, nullptr);
   EXPECT_EQ(pinned->epoch, 1u);
   const size_t pinned_size = pinned->relation.size();
@@ -211,7 +236,7 @@ TEST(ServerServiceTest, PinnedSnapshotIsImmutableAcrossWrites) {
 
   // The pin still sees the old world; a fresh pin sees the new one.
   EXPECT_EQ(pinned->relation.size(), pinned_size);
-  SnapshotPtr fresh = service.Pin("customer");
+  core::SnapshotPtr fresh = service.Pin("customer");
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->epoch, 2u);
   EXPECT_EQ(fresh->relation.size(), pinned_size + 1);
@@ -314,7 +339,7 @@ TEST(ServerServiceTest, CompactionRewritesSnapshotAndSurvivesTornTail) {
   const std::string opened =
       Exec(&recovered, &rstate, "open customer " + path);
   EXPECT_NE(opened.find("+1 wal record(s)"), std::string::npos);
-  SnapshotPtr snap = recovered.Pin("customer");
+  core::SnapshotPtr snap = recovered.Pin("customer");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->relation.size(), 28u);
   EXPECT_EQ(Exec(&recovered, &rstate, "show customer 100"),

@@ -135,7 +135,7 @@ TEST(ShardedDetectTest, MatchesSerialOnNoisyHospital) {
                              Parse(workload::HospitalGenerator::HospitalCfds()));
 }
 
-TEST(ShardedDetectTest, MatchesSerialThroughWarmSnapshot) {
+TEST(ShardedDetectTest, MatchesSerialThroughAttachedEncoding) {
   workload::CustomerWorkloadOptions opts;
   opts.num_tuples = 6000;
   opts.noise_rate = 0.08;

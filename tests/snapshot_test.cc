@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/render.h"
 #include "cfd/cfd_parser.h"
 #include "common/csv.h"
 #include "core/semandaq.h"
@@ -497,13 +498,13 @@ TEST(SemandaqStorageTest, SaveOpenDetectMatchesInMemory) {
   ASSERT_OK(sys.constraints().AddCfdsFromText(semandaq::testing::PaperCfdText()));
   ASSERT_OK_AND_ASSIGN(auto saved, sys.SaveRelation("customer", path));
   EXPECT_EQ(saved.live_rows, 7u);
-  // Saving warms the facade's snapshot for subsequent detections.
-  ASSERT_NE(sys.WarmSnapshot("customer"), nullptr);
+  // Saving publishes an epoch for subsequent reads.
+  ASSERT_NE(sys.Pin("customer"), nullptr);
 
   ASSERT_OK_AND_ASSIGN(auto opened, sys.OpenRelation("customer2", path));
   EXPECT_EQ(opened.live_rows, 7u);
   EXPECT_EQ(opened.wal_records, 0u);
-  ASSERT_NE(sys.WarmSnapshot("customer2"), nullptr);
+  ASSERT_NE(sys.Pin("customer2"), nullptr);
 
   ASSERT_OK(sys.constraints().AddCfdsFromText(
       "customer2: [CNT=UK, ZIP=_] -> [STR=_]\n"
@@ -515,10 +516,10 @@ TEST(SemandaqStorageTest, SaveOpenDetectMatchesInMemory) {
   // A taken name or a missing file must fail without side effects.
   EXPECT_FALSE(sys.OpenRelation("customer", path).ok());
   EXPECT_FALSE(sys.OpenRelation("nope", TempPath("missing.sdq")).ok());
-  EXPECT_EQ(sys.WarmSnapshot("nope"), nullptr);
+  EXPECT_EQ(sys.Pin("nope"), nullptr);
 }
 
-TEST(SemandaqStorageTest, WarmSnapshotSurvivesRepairCycle) {
+TEST(SemandaqStorageTest, EpochSurvivesRepairCycle) {
   const std::string path = TempPath("facade_repair.sdq");
   core::Semandaq sys;
   ASSERT_OK(sys.Connect(semandaq::testing::PaperCustomerRelation()));
@@ -526,8 +527,8 @@ TEST(SemandaqStorageTest, WarmSnapshotSurvivesRepairCycle) {
   ASSERT_OK_AND_ASSIGN(auto saved, sys.SaveRelation("customer", path));
   (void)saved;
 
-  // Repairs overwrite cells in place; the warm snapshot must resync (full
-  // rebuild) rather than serve stale codes: the warm detection must match a
+  // Repairs overwrite cells in place; the next read must republish (a full
+  // re-encode) rather than serve stale codes: its detection must match a
   // cold re-encode of the repaired relation exactly.
   ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer"));
   ASSERT_OK(sys.ApplyRepair("customer", repair));
@@ -536,6 +537,70 @@ TEST(SemandaqStorageTest, WarmSnapshotSurvivesRepairCycle) {
   ASSERT_NE(rel, nullptr);
   ExpectTablesEqual(Detect(*rel, Parse(semandaq::testing::PaperCfdText())),
                     warm_detect);
+}
+
+// The facade's by-name reads republish exactly when the master moved since
+// the last capture. After every kind of mutation, DetectErrors and
+// QualityMap must equal a cold detection and render on a clone of the
+// master, and a repeated read with no mutation in between keeps the epoch.
+TEST(SemandaqStorageTest, ReadsRepublishWhenTheMasterMoved) {
+  core::Semandaq sys;
+  ASSERT_OK(sys.Connect(semandaq::testing::PaperCustomerRelation()));
+  ASSERT_OK(sys.constraints().AddCfdsFromText(semandaq::testing::PaperCfdText()));
+  // Saving keeps the master's encoding between reads (and journals every
+  // mutation below into the WAL).
+  ASSERT_OK(
+      sys.SaveRelation("customer", TempPath("facade_fresh.sdq")).status());
+  const std::vector<cfd::Cfd> cfds = Parse(semandaq::testing::PaperCfdText());
+  auto expect_fresh = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    const Relation master = sys.database().FindRelation("customer")->Clone();
+    const ViolationTable cold = Detect(master, cfds);
+    ASSERT_OK_AND_ASSIGN(ViolationTable table, sys.DetectErrors("customer"));
+    ExpectTablesEqual(cold, table);
+    ASSERT_OK_AND_ASSIGN(std::string map, sys.QualityMap("customer"));
+    EXPECT_EQ(map, audit::AsciiRender::QualityMap(master, cold, 40));
+    const uint64_t epoch = sys.Pin("customer")->epoch;
+    ASSERT_OK(sys.DetectErrors("customer").status());
+    EXPECT_EQ(sys.Pin("customer")->epoch, epoch);
+  };
+  auto row = [](const std::string& name, const std::string& cnt,
+                const std::string& cc) {
+    return Row{Value::String(name),     Value::String(cnt),
+               Value::String("Leeds"),  Value::String("LS1 1AA"),
+               Value::String("Park Row"), Value::String(cc),
+               Value::String("113")};
+  };
+  expect_fresh("first read");
+
+  relational::Relation* master = sys.database().FindMutableRelation("customer");
+  ASSERT_OK(master->Insert(row("Ann", "US", "44")).status());
+  expect_fresh("direct insert");
+
+  {
+    ASSERT_OK_AND_ASSIGN(auto monitor, sys.StartMonitor("customer"));
+    const relational::UpdateBatch batch = {
+        relational::Update::Insert(row("Tom", "NL", "44")),
+        relational::Update::DeleteTuple(0)};
+    ASSERT_OK(monitor->OnUpdate(batch).status());
+  }
+  expect_fresh("monitor batch");
+
+  ASSERT_OK_AND_ASSIGN(auto repair, sys.Clean("customer"));
+  ASSERT_OK(sys.ApplyRepair("customer", repair));
+  expect_fresh("ApplyRepair");
+
+  // A replacement whose version counters equal the master's: only the
+  // replacement itself tells the two apart. Rick (CC 44) stays in the UK
+  // on the master and moves to the US, violating [CC=44] -> [CNT=UK], in
+  // the replacement.
+  const size_t cnt = static_cast<size_t>(master->schema().IndexOf("CNT"));
+  Relation replacement = master->Clone();
+  ASSERT_OK(master->SetCell(1, cnt, Value::String("UK")));
+  expect_fresh("set cell");
+  ASSERT_OK(replacement.SetCell(1, cnt, Value::String("US")));
+  sys.database().PutRelation(std::move(replacement));
+  expect_fresh("PutRelation");
 }
 
 }  // namespace
