@@ -42,7 +42,7 @@ int main() {
   semandaq::discovery::CfdMinerOptions mopts;
   mopts.max_lhs = 2;
   mopts.min_support = 5;
-  auto added = sys.constraints().DiscoverFrom("hospital", mopts);
+  auto added = sys.Mine("hospital", mopts);
   if (!added.ok()) {
     std::printf("discovery failed: %s\n", added.status().ToString().c_str());
     return 1;

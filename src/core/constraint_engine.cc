@@ -25,28 +25,6 @@ common::Status ConstraintEngine::AddCfdsFromText(std::string_view text) {
   return Status::OK();
 }
 
-common::Result<size_t> ConstraintEngine::DiscoverFrom(
-    const std::string& relation, discovery::CfdMinerOptions options) {
-  SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,
-                            db_->GetRelation(relation));
-  // The engine's attached (hardware-width) pool is only inherited when the
-  // options ask for all hardware threads — an explicit num_threads of 1
-  // must stay serial, and an explicit N >= 2 gets a private N-lane pool
-  // from the miner rather than being rounded up to the shared pool's
-  // width. An explicitly attached options.pool always wins.
-  if (options.pool == nullptr && options.num_threads == 0) {
-    options.pool = pool_;
-  }
-  discovery::CfdMiner miner(rel, options);
-  SEMANDAQ_ASSIGN_OR_RETURN(std::vector<cfd::Cfd> mined, miner.Mine());
-  size_t added = 0;
-  for (cfd::Cfd& c : mined) {
-    SEMANDAQ_RETURN_IF_ERROR(AddCfd(std::move(c)));
-    ++added;
-  }
-  return added;
-}
-
 common::Result<cfd::SatisfiabilityReport> ConstraintEngine::Validate(
     const std::string& relation) const {
   SEMANDAQ_ASSIGN_OR_RETURN(const relational::Relation* rel,

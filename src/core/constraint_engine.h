@@ -8,19 +8,14 @@
 #include "cfd/cfd.h"
 #include "cfd/satisfiability.h"
 #include "common/status.h"
-#include "discovery/cfd_miner.h"
 #include "relational/database.h"
-
-namespace semandaq::common {
-class ThreadPool;
-}  // namespace semandaq::common
 
 namespace semandaq::core {
 
 /// The constraint engine, "the core of SEMANDAQ" (paper §2): manages the
-/// CFD set, validates that it "makes sense" (satisfiability analysis),
-/// discovers constraints from reference data, and persists CFDs relationally
-/// through cfd::TableauStore.
+/// CFD set, validates that it "makes sense" (satisfiability analysis), and
+/// persists CFDs relationally through cfd::TableauStore. Constraints
+/// discovered from reference data arrive through Semandaq::Mine.
 class ConstraintEngine {
  public:
   /// The database must outlive the engine. Not owned.
@@ -31,23 +26,6 @@ class ConstraintEngine {
 
   /// Parses and adds CFDs in the textual notation of cfd/cfd_parser.h.
   common::Status AddCfdsFromText(std::string_view text);
-
-  /// Discovers CFDs from a (reference) relation and adds them to the set.
-  /// Returns how many were added. When `options.pool` is unset, the lanes
-  /// follow `options.num_threads`: 1 (default) mines serially, 0 inherits
-  /// the engine's attached hardware-width pool (set_thread_pool), N >= 2
-  /// runs a private N-lane pool inside the miner — and the levelwise
-  /// sweep fans out per candidate; mined output is byte-identical either
-  /// way (docs/discovery.md).
-  common::Result<size_t> DiscoverFrom(const std::string& relation,
-                                      discovery::CfdMinerOptions options = {});
-
-  /// Attaches a borrowed hardware-width worker pool for DiscoverFrom's
-  /// miners (the Semandaq facade wires its shared pool here once it
-  /// exists). Since PR 5 the pool is only used when a DiscoverFrom call
-  /// asks for it with options.num_threads == 0 — the default (1) mines
-  /// serially, matching the detector's 1=serial convention.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
   /// Runs the consistency analysis over the CFDs targeting `relation` —
   /// "users are informed whether the specified set of CFDs makes sense".
@@ -78,7 +56,6 @@ class ConstraintEngine {
  private:
   relational::Database* db_;
   std::vector<cfd::Cfd> cfds_;
-  common::ThreadPool* pool_ = nullptr;  // borrowed; nullptr = serial mining
 };
 
 }  // namespace semandaq::core

@@ -13,10 +13,13 @@
 #include "common/thread_pool.h"
 #include "core/explorer.h"
 #include "detect/native_detector.h"
+#include "discovery/cfd_miner.h"
+#include "relational/database.h"
 #include "relational/encoded_relation.h"
 #include "relational/relation.h"
 #include "repair/batch_repair.h"
 #include "repair/cost_model.h"
+#include "sql/executor.h"
 
 namespace semandaq::core {
 
@@ -39,6 +42,18 @@ struct RelationSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const RelationSnapshot>;
 
+/// A scratch catalog of pinned epochs: a clone of each relation, plus its
+/// frozen encoding. SQL runs on it without the master catalog or the
+/// writer lock, and what a query materializes there (the SQL detector's
+/// tableaux) dies with it.
+struct PinnedCatalog {
+  relational::Database db;
+  sql::EncodedProvider encoded;  ///< code fast paths; `sql` verb only so far
+};
+
+/// Builds the scratch catalog of `pins` (one epoch per relation name).
+common::Result<PinnedCatalog> PinCatalog(const std::vector<SnapshotPtr>& pins);
+
 /// One computation on a pinned epoch: the snapshot, Σ for its relation, and
 /// the lanes and cancel token detection runs with. The single body of every
 /// read workload: the facade's by-name reads and the service's read verbs
@@ -53,6 +68,9 @@ struct EpochRead {
 
   /// A native detector over the epoch's frozen encoding.
   detect::NativeDetector Detector() const;
+  /// The paper's generated-SQL detector (Q_C / Q_V) on a PinnedCatalog of
+  /// the epoch, under `options.cancel`: the native kernels' oracle.
+  common::Result<detect::ViolationTable> DetectSql() const;
   /// Error detector + data auditor: the data quality report (Fig. 4).
   common::Result<audit::QualityReport> Report() const;
   /// The tuple-level data quality map (Fig. 3 content).
@@ -63,6 +81,10 @@ struct EpochRead {
   /// cancel token included), not with the detector knobs above.
   common::Result<repair::RepairResult> Clean(
       repair::RepairOptions options, repair::CostModelOptions cost = {}) const;
+  /// CFD discovery with `miner`'s search knobs; lanes, SIMD tier and cancel
+  /// token are this read's (its `miner` copies are ignored), as Detector().
+  common::Result<std::vector<cfd::Cfd>> Mine(
+      discovery::CfdMinerOptions miner = {}) const;
 };
 
 }  // namespace semandaq::core

@@ -1,7 +1,6 @@
 #include "core/semandaq.h"
 
 #include "common/string_util.h"
-#include "detect/sql_detector.h"
 #include "relational/column_chunk.h"
 #include "storage/catalog.h"
 #include "storage/wal.h"
@@ -14,11 +13,6 @@ common::ThreadPool* Semandaq::PoolFor(size_t num_threads) {
   if (num_threads == 1) return nullptr;
   if (pool_ == nullptr) {
     pool_ = std::make_unique<common::ThreadPool>(common::ResolveThreadCount(0));
-    // Discovery can share the facade pool: once it exists, DiscoverFrom
-    // calls with num_threads == 0 fan their levelwise sweep out over it
-    // (explicit N >= 2 runs a private N-lane pool instead, and the default
-    // of 1 mines serially).
-    engine_.set_thread_pool(pool_.get());
   }
   return pool_.get();
 }
@@ -127,15 +121,11 @@ common::Status Semandaq::AttachWal(const std::string& relation,
 common::Result<detect::ViolationTable> Semandaq::DetectErrors(
     const std::string& relation, DetectorKind kind,
     std::optional<detect::DetectorOptions> options) {
-  if (kind == DetectorKind::kNative) {
-    SEMANDAQ_ASSIGN_OR_RETURN(
-        EpochRead read,
-        Read(relation, options.value_or(detect::DetectorOptions{})));
-    return read.Detector().Detect();
-  }
-  SEMANDAQ_RETURN_IF_ERROR(db_.GetRelation(relation).status());
-  detect::SqlDetector detector(&db_, relation, engine_.CfdsFor(relation));
-  return detector.Detect();
+  SEMANDAQ_ASSIGN_OR_RETURN(
+      EpochRead read,
+      Read(relation, options.value_or(detect::DetectorOptions{})));
+  return kind == DetectorKind::kSql ? read.DetectSql()
+                                    : read.Detector().Detect();
 }
 
 common::Result<storage::SnapshotStats> Semandaq::SaveRelation(
@@ -310,14 +300,26 @@ common::Result<repair::RepairResult> Semandaq::Clean(const std::string& relation
                                                      repair::RepairOptions options,
                                                      repair::CostModelOptions cost) {
   SEMANDAQ_ASSIGN_OR_RETURN(EpochRead read, Read(relation));
-  // Same lane policy as DiscoverFrom: only num_threads == 0 borrows the
-  // shared hardware-width pool; an explicit N >= 2 gets a private N-lane
-  // pool from the repair engine itself, and 1 repairs serially. The
-  // RepairResult is byte-identical for every lane count.
   if (options.pool == nullptr && options.num_threads == 0) {
     options.pool = PoolFor(options.num_threads);
   }
   return read.Clean(std::move(options), std::move(cost));
+}
+
+common::Result<size_t> Semandaq::Mine(const std::string& relation,
+                                      discovery::CfdMinerOptions options) {
+  SEMANDAQ_ASSIGN_OR_RETURN(EpochRead read, Read(relation));
+  read.pool = options.pool != nullptr || options.num_threads != 0
+                  ? options.pool
+                  : PoolFor(options.num_threads);
+  read.options.num_threads = options.num_threads;
+  read.options.simd_level = options.simd_level;
+  read.options.cancel = options.cancel;
+  SEMANDAQ_ASSIGN_OR_RETURN(auto mined, read.Mine(std::move(options)));
+  for (cfd::Cfd& c : mined) {
+    SEMANDAQ_RETURN_IF_ERROR(engine_.AddCfd(std::move(c)));
+  }
+  return mined.size();
 }
 
 common::Result<std::unique_ptr<repair::RepairReview>> Semandaq::Review(

@@ -17,6 +17,7 @@
 #include "core/explorer.h"
 #include "detect/native_detector.h"
 #include "detect/violation.h"
+#include "discovery/cfd_miner.h"
 #include "monitor/data_monitor.h"
 #include "relational/database.h"
 #include "relational/encoded_relation.h"
@@ -188,7 +189,7 @@ class Semandaq {
   }
 
   /// Runs the error detector over one relation with the CFDs registered for
-  /// it. `options` only applies to the native detector; in particular
+  /// it. `options` tunes the native detector (SQL honours only `cancel`):
   /// DetectorOptions::num_threads >= 2 (or 0 = all hardware threads) turns
   /// on the sharded parallel scan, whose output is identical to the serial
   /// one (see docs/architecture.md). Omitted, the serial defaults apply.
@@ -212,6 +213,12 @@ class Semandaq {
   common::Result<repair::RepairResult> Clean(const std::string& relation,
                                              repair::RepairOptions options = {},
                                              repair::CostModelOptions cost = {});
+
+  /// Mines CFDs from a (reference) relation's epoch into the CFD set and
+  /// returns how many were added. Lanes as for Clean(); the mined set is
+  /// byte-identical for every lane count (docs/discovery.md).
+  common::Result<size_t> Mine(const std::string& relation,
+                              discovery::CfdMinerOptions options = {});
 
   /// Builds an interactive review for a Clean() result (Fig. 5 content).
   common::Result<std::unique_ptr<repair::RepairReview>> Review(

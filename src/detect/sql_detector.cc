@@ -1,5 +1,6 @@
 #include "detect/sql_detector.h"
 
+#include <memory>
 #include <unordered_map>
 
 #include "cfd/tableau_store.h"
@@ -23,11 +24,15 @@ common::Result<ViolationTable> SqlDetector::Detect() {
   SEMANDAQ_RETURN_IF_ERROR(cfd::ResolveAll(&cfds_, target->schema()));
 
   std::vector<std::string> tableau_names;
+  // Drops the tableaux on every exit path, a failed or cancelled query's too.
+  const std::unique_ptr<relational::Database, void (*)(relational::Database*)>
+      drop_tableaux(db_, &cfd::TableauStore::Clear);
   SEMANDAQ_RETURN_IF_ERROR(cfd::TableauStore::Store(cfds_, db_, &tableau_names));
   queries_ = GenerateDetectionSql(cfds_, relation_, tableau_names);
 
   const std::vector<cfd::EmbeddedFdGroup> groups = cfd::GroupByEmbeddedFd(cfds_);
   sql::Engine engine(db_);
+  engine.set_cancel(cancel_);
   ViolationTable table;
 
   for (const DetectionQueries& q : queries_) {
@@ -86,7 +91,6 @@ common::Result<ViolationTable> SqlDetector::Detect() {
     }
   }
 
-  cfd::TableauStore::Clear(db_);
   return table;
 }
 

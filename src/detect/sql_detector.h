@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cfd/cfd.h"
+#include "common/cancel.h"
 #include "common/status.h"
 #include "detect/sql_generator.h"
 #include "detect/violation.h"
@@ -24,10 +25,14 @@ namespace semandaq::detect {
 class SqlDetector {
  public:
   /// `db` must contain `relation`; tableau and key relations are
-  /// materialized into it during Detect and removed afterwards.
+  /// materialized into it during Detect and removed on every exit, replacing
+  /// and dropping any tableaux `db` already held (e.g. a persisted Σ).
   SqlDetector(relational::Database* db, std::string relation,
               std::vector<cfd::Cfd> cfds)
       : db_(db), relation_(std::move(relation)), cfds_(std::move(cfds)) {}
+
+  /// Cancel token for every generated query's engine; nullptr = none.
+  void set_cancel(common::CancelToken* cancel) { cancel_ = cancel; }
 
   common::Result<ViolationTable> Detect();
 
@@ -41,6 +46,7 @@ class SqlDetector {
   std::string relation_;
   std::vector<cfd::Cfd> cfds_;
   std::vector<DetectionQueries> queries_;
+  common::CancelToken* cancel_ = nullptr;
 };
 
 }  // namespace semandaq::detect

@@ -96,7 +96,8 @@ CodeColumn CodeColumn::ShareFrozen() const {
   view.size_ = size_;
   view.shared_below_ = size_;  // the view itself must never write at all
   view.owns_tail_ = false;
-  shared_below_ = size_;  // writer overwrites below here must detach
+  // Overwrites below here must detach; re-sharing a view writes nothing.
+  if (shared_below_ != size_) shared_below_ = size_;
   return view;
 }
 

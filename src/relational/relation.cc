@@ -6,29 +6,28 @@
 
 namespace semandaq::relational {
 
-Relation::Relation(const Relation& other)
-    : name_(other.name_),
-      schema_(other.schema_),
-      rows_(other.rows_),
-      hydrator_(other.hydrator_),
-      needs_hydration_(other.needs_hydration_.load(std::memory_order_acquire)),
-      live_(other.live_),
-      live_count_(other.live_count_),
-      version_(other.version_),
-      overwrite_version_(other.overwrite_version_) {
+Relation::Relation(const Relation& other) {
   // observer_ stays nullptr: a copy is a new, unwatched relation — a WAL
   // attachment must journal exactly the relation it was attached to.
   // A copy of an unhydrated relation re-runs the (pure) hydrator
   // independently, under its own fresh mutex.
+  *this = other;
 }
 
 Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
+  // `other` may be a shared epoch that another reader is hydrating right
+  // now: under its hydration lock, the rows and the pending hydrator are
+  // copied as one consistent state.
+  std::unique_lock<std::mutex> lock;
+  if (other.hydrate_mu_ != nullptr) {
+    lock = std::unique_lock<std::mutex>(*other.hydrate_mu_);
+  }
   name_ = other.name_;
   schema_ = other.schema_;
   rows_ = other.rows_;
   hydrator_ = other.hydrator_;
-  needs_hydration_.store(other.needs_hydration_.load(std::memory_order_acquire),
+  needs_hydration_.store(other.needs_hydration_.load(std::memory_order_relaxed),
                          std::memory_order_release);
   // A moved-from shell being reused as an assignment target lost its mutex.
   if (hydrate_mu_ == nullptr) hydrate_mu_ = std::make_unique<std::mutex>();

@@ -127,7 +127,8 @@ class Relation {
   /// under an internal mutex), so concurrent *readers* of an immutable
   /// relation — e.g. server sessions sharing one pinned snapshot — may
   /// race to the first row access safely; concurrent *mutation* remains
-  /// the caller's problem, as for every other mutator.
+  /// the caller's problem, as for every other mutator. Copying such a
+  /// shared relation is a read too and may race its hydration safely.
   void EnsureHydrated() const {
     if (needs_hydration_.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(*hydrate_mu_);

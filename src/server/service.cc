@@ -1,8 +1,6 @@
 #include "server/service.h"
 
-#include <memory>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "audit/render.h"
@@ -11,7 +9,6 @@
 #include "core/command_words.h"
 #include "core/explorer.h"
 #include "detect/native_detector.h"
-#include "discovery/cfd_miner.h"
 #include "relational/csv_io.h"
 #include "sql/engine.h"
 #include "workload/customer_gen.h"
@@ -22,6 +19,41 @@ namespace semandaq::server {
 using common::Result;
 using common::Status;
 using core::SnapshotPtr;
+
+namespace {
+
+/// Parses `VERB REL [threads=N] [simd=LEVEL]` into the slots; `want_sql`
+/// (detect) also takes the word `sql`, which excludes the other two.
+Status ParseSweepArgs(const std::string& verb,
+                      const std::vector<std::string>& args, size_t* num_threads,
+                      common::simd::Level* simd_level,
+                      bool* want_sql = nullptr) {
+  const std::string usage = verb + " REL " + (want_sql ? "[sql] " : "") +
+                            "[threads=N] [simd=LEVEL]";
+  if (args.empty()) return Status::InvalidArgument("usage: " + usage);
+  bool sweep_given = false;
+  for (size_t i = 1; i < args.size(); ++i) {
+    if (want_sql != nullptr && common::EqualsIgnoreCase(args[i], "sql")) {
+      *want_sql = true;
+      continue;
+    }
+    bool matched = false;
+    SEMANDAQ_RETURN_IF_ERROR(
+        core::ParseSweepOption(args[i], num_threads, simd_level, &matched));
+    if (!matched) {
+      return Status::InvalidArgument("unknown " + verb + " option '" +
+                                     args[i] + "' (usage: " + usage + ")");
+    }
+    sweep_given = true;
+  }
+  if (want_sql != nullptr && *want_sql && sweep_given) {
+    return Status::InvalidArgument(
+        "threads=/simd= apply to the native detector only");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 SemandaqService::SemandaqService(ServiceOptions options)
     : scheduler_(options.scheduler_lanes),
@@ -346,106 +378,54 @@ common::Result<std::string> SemandaqService::CmdEpoch(
 
 common::Result<std::string> SemandaqService::CmdDetect(
     const std::vector<std::string>& args, common::CancelToken* cancel) {
-  if (args.empty()) {
-    return Status::InvalidArgument(
-        "usage: detect REL [sql] [threads=N] [simd=LEVEL]");
-  }
   bool want_sql = false;
   detect::DetectorOptions options;
-  bool native_opts_given = false;
-  for (size_t i = 1; i < args.size(); ++i) {
-    if (common::EqualsIgnoreCase(args[i], "sql")) {
-      want_sql = true;
-      continue;
-    }
-    bool matched = false;
-    SEMANDAQ_RETURN_IF_ERROR(core::ParseSweepOption(
-        args[i], &options.num_threads, &options.simd_level, &matched));
-    if (!matched) {
-      return Status::InvalidArgument(
-          "unknown detect option '" + args[i] +
-          "' (usage: detect REL [sql] [threads=N] [simd=LEVEL])");
-    }
-    native_opts_given = true;
-  }
-  if (want_sql && native_opts_given) {
-    return Status::InvalidArgument(
-        "threads=/simd= apply to the native detector only");
-  }
-  if (want_sql) {
-    // The generated-SQL detector reads the shared catalog: writer lock.
-    std::lock_guard<std::mutex> lock(sys_mu_);
-    SEMANDAQ_ASSIGN_OR_RETURN(
-        auto table, sys_.DetectErrors(args[0], core::Semandaq::DetectorKind::kSql));
-    return table.Summary() + "\n";
-  }
-
+  SEMANDAQ_RETURN_IF_ERROR(ParseSweepArgs("detect", args, &options.num_threads,
+                                          &options.simd_level, &want_sql));
   SnapshotPtr snap = Pin(args[0]);
   if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
   options.cancel = cancel;
   const core::EpochRead read{std::move(snap), CfdsFor(args[0]), options};
-  // `detect` reports only the summary, so the count path never builds the
-  // violation table. Count scans serially, so no worker lanes are leased.
+  // Both paths scan serially, so no worker lanes are leased.
+  if (want_sql) {
+    SEMANDAQ_ASSIGN_OR_RETURN(auto table, read.DetectSql());
+    return table.Summary() + "\n";
+  }
+  // `detect` reports only the summary: the count path builds no table.
   SEMANDAQ_ASSIGN_OR_RETURN(auto counts, read.Detector().Count());
   return counts.ToString() + "\n";
 }
 
 common::Result<std::string> SemandaqService::CmdMine(
     const std::vector<std::string>& args, common::CancelToken* cancel) {
-  if (args.empty()) {
-    return Status::InvalidArgument("usage: mine REL [threads=N] [simd=LEVEL]");
-  }
-  discovery::CfdMinerOptions options;
-  for (size_t i = 1; i < args.size(); ++i) {
-    bool matched = false;
-    SEMANDAQ_RETURN_IF_ERROR(core::ParseSweepOption(
-        args[i], &options.num_threads, &options.simd_level, &matched));
-    if (!matched) {
-      return Status::InvalidArgument(
-          "unknown mine option '" + args[i] +
-          "' (usage: mine REL [threads=N] [simd=LEVEL])");
-    }
-  }
+  detect::DetectorOptions options;
+  SEMANDAQ_RETURN_IF_ERROR(ParseSweepArgs("mine", args, &options.num_threads,
+                                          &options.simd_level));
   SnapshotPtr snap = Pin(args[0]);
   if (snap == nullptr) return Status::NotFound("no relation named " + args[0]);
   ThreadLease lease = scheduler_.Acquire(options.num_threads);
   options.num_threads = lease.lanes();
-  options.pool = lease.pool();
   options.cancel = cancel;
-  discovery::CfdMiner miner(&snap->relation, options);
-  SEMANDAQ_ASSIGN_OR_RETURN(std::vector<cfd::Cfd> mined, miner.Mine());
+  // Mining reads no Sigma: unlike PinnedRead, take no writer lock to copy it.
+  const core::EpochRead read{std::move(snap), {}, options, lease.pool()};
+  SEMANDAQ_ASSIGN_OR_RETURN(std::vector<cfd::Cfd> mined, read.Mine());
   // The sweep ran on the pinned epoch; only the Sigma append takes the
   // writer lock.
-  size_t added = 0;
-  {
-    std::lock_guard<std::mutex> lock(sys_mu_);
-    for (cfd::Cfd& c : mined) {
-      SEMANDAQ_RETURN_IF_ERROR(sys_.constraints().AddCfd(std::move(c)));
-      ++added;
-    }
-    return "mined " + std::to_string(added) + " CFD(s) from " + args[0] +
-           "; Sigma now has " + std::to_string(sys_.constraints().size()) +
-           " CFD(s)\n";
+  std::lock_guard<std::mutex> lock(sys_mu_);
+  for (cfd::Cfd& c : mined) {
+    SEMANDAQ_RETURN_IF_ERROR(sys_.constraints().AddCfd(std::move(c)));
   }
+  return "mined " + std::to_string(mined.size()) + " CFD(s) from " + args[0] +
+         "; Sigma now has " + std::to_string(sys_.constraints().size()) +
+         " CFD(s)\n";
 }
 
 common::Result<std::string> SemandaqService::CmdClean(
     SessionState* session, const std::vector<std::string>& args,
     common::CancelToken* cancel) {
-  if (args.empty()) {
-    return Status::InvalidArgument("usage: clean REL [threads=N] [simd=LEVEL]");
-  }
   repair::RepairOptions options;
-  for (size_t i = 1; i < args.size(); ++i) {
-    bool matched = false;
-    SEMANDAQ_RETURN_IF_ERROR(core::ParseSweepOption(
-        args[i], &options.num_threads, &options.simd_level, &matched));
-    if (!matched) {
-      return Status::InvalidArgument(
-          "unknown clean option '" + args[i] +
-          "' (usage: clean REL [threads=N] [simd=LEVEL])");
-    }
-  }
+  SEMANDAQ_RETURN_IF_ERROR(ParseSweepArgs("clean", args, &options.num_threads,
+                                          &options.simd_level));
   SEMANDAQ_ASSIGN_OR_RETURN(
       LeasedRead pinned, PinnedRead(args[0], options.num_threads, cancel));
   options.num_threads = pinned.lease.lanes();
@@ -564,30 +544,13 @@ common::Result<SemandaqService::LeasedRead> SemandaqService::PinnedRead(
 common::Result<std::string> SemandaqService::CmdSql(
     std::string_view query, common::CancelToken* cancel) {
   // Pin one consistent set: the latest epoch of every published relation.
-  // The scratch catalog below is built from those pins alone, so the
-  // query never touches the live master (and holds no lock while it runs).
-  const std::vector<SnapshotPtr> pinned = sys_.PinAll();
-  relational::Database scratch;
-  std::vector<std::unique_ptr<relational::EncodedRelation>> frozen;
-  std::unordered_map<const relational::Relation*,
-                     const relational::EncodedRelation*>
-      encoded_of;
-  for (const SnapshotPtr& snap : pinned) {
-    SEMANDAQ_RETURN_IF_ERROR(scratch.AddRelation(snap->relation.Clone()));
-    relational::Relation* rel =
-        scratch.FindMutableRelation(snap->relation.name());
-    frozen.push_back(std::make_unique<relational::EncodedRelation>(
-        snap->encoded->Freeze(rel)));
-    encoded_of[rel] = frozen.back().get();
-  }
-  sql::Engine engine(&scratch);
+  // The scratch catalog is built from those pins alone, so the query never
+  // touches the live master (and holds no lock while it runs).
+  SEMANDAQ_ASSIGN_OR_RETURN(core::PinnedCatalog catalog,
+                            core::PinCatalog(sys_.PinAll()));
+  sql::Engine engine(&catalog.db);
   engine.set_cancel(cancel);
-  engine.set_encoded_provider(
-      [&encoded_of](const relational::Relation* rel)
-          -> const relational::EncodedRelation* {
-        auto it = encoded_of.find(rel);
-        return it == encoded_of.end() ? nullptr : it->second;
-      });
+  engine.set_encoded_provider(catalog.encoded);
   SEMANDAQ_ASSIGN_OR_RETURN(relational::Relation result,
                             engine.Query(common::Trim(query)));
   return result.ToAsciiTable(50);

@@ -58,11 +58,12 @@ struct ServiceStats {
 ///
 ///   * The facade publishes every relation's epochs (core::Semandaq::Pin /
 ///     Publish); the service holds no per-relation state of its own.
-///     Read commands (detect / mine / clean / sql / show / map / report /
-///     explore / epoch) pin the latest epoch and compute on it lock-free,
-///     through the same core::EpochRead functions the facade's by-name
-///     reads use — they never block on writers, and a writer never waits
-///     for readers (old epochs die by refcount when the last pin drops).
+///     Read commands (detect [sql] / mine / clean / sql / show / map /
+///     report / explore / epoch) pin the latest epoch and compute on it
+///     lock-free (SQL on a core::PinnedCatalog), through the core::EpochRead
+///     functions the facade's by-name reads use — they never block on
+///     writers, and a writer never waits for readers (old epochs die by
+///     refcount when the last pin drops).
 ///   * Write commands (load / open / gen / apply / savedb / opendb / the
 ///     programmatic AppendBatch) and constraint/catalog commands take
 ///     `sys_mu_`, mutate the master through the facade, and publish the

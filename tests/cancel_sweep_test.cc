@@ -1,13 +1,13 @@
 // Cancellation determinism sweep (common/cancel): the contract a
 // CancelToken buys is "byte-identical or never happened". For each
-// cancellable operation — detect, mine, clean, opendb — we first run a
-// census pass that counts every checkpoint the operation crosses, then
-// replay the operation once per checkpoint with the token armed to trip
-// exactly there. Every replay must either produce the baseline result
-// bit-for-bit (the cancel arrived after the last checkpoint that
-// mattered) or fail with Cancelled/DeadlineExceeded while leaving all
-// observable state — the master relation, the facade catalog — exactly
-// as it was.
+// cancellable operation — detect, SQL detect, mine, clean, opendb — we
+// first run a census pass that counts every checkpoint the operation
+// crosses, then replay the operation once per checkpoint with the token
+// armed to trip exactly there. Every replay must either produce the
+// baseline result bit-for-bit (the cancel arrived after the last
+// checkpoint that mattered) or fail with Cancelled/DeadlineExceeded while
+// leaving all observable state — the master relation, the facade
+// catalog — exactly as it was.
 
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +23,7 @@
 #include "common/status.h"
 #include "core/semandaq.h"
 #include "detect/native_detector.h"
+#include "detect/sql_detector.h"
 #include "discovery/cfd_miner.h"
 #include "repair/batch_repair.h"
 #include "repair/cost_model.h"
@@ -221,6 +222,46 @@ TEST(CancelSweepTest, CountIsAllOrNothing) {
     EXPECT_EQ(Fingerprint(rel), before);  // counting never writes
     if (!counts.ok()) return counts.status();
     return counts->ToString();
+  });
+}
+
+TEST(CancelSweepTest, DetectSqlIsAllOrNothing) {
+  Semandaq sys;
+  ASSERT_OK(sys.Connect(testing::PaperCustomerRelation()));
+  ASSERT_OK(sys.constraints().AddCfdsFromText(testing::PaperCfdText()));
+  const std::vector<std::string> names = sys.database().RelationNames();
+  const Relation& master = *sys.database().FindRelation("customer");
+  const std::string before = Fingerprint(master);
+  SweepCheckpoints("detect-sql", [&](CancelToken* token)
+                                     -> common::Result<std::string> {
+    detect::DetectorOptions options;
+    options.cancel = token;
+    auto table = sys.DetectErrors("customer", Semandaq::DetectorKind::kSql,
+                                  options);
+    // The generated SQL's tableau and key relations live in a scratch
+    // catalog: finished or cancelled, the facade's catalog is untouched.
+    EXPECT_EQ(sys.database().RelationNames(), names);
+    EXPECT_EQ(Fingerprint(master), before);
+    if (!table.ok()) return table.status();
+    return Fingerprint(*table);
+  });
+}
+
+TEST(CancelSweepTest, SqlDetectorLeavesItsDatabaseAsItWas) {
+  // A caller-owned database: the tableaux Detect materializes must be gone
+  // again whether it finishes, fails or is cancelled mid-query.
+  relational::Database db;
+  ASSERT_OK(db.AddRelation(testing::PaperCustomerRelation()));
+  const std::vector<std::string> names = db.RelationNames();
+  SweepCheckpoints("sql-detector", [&](CancelToken* token)
+                                       -> common::Result<std::string> {
+    detect::SqlDetector detector(&db, "customer",
+                                 Parse(testing::PaperCfdText()));
+    detector.set_cancel(token);
+    auto table = detector.Detect();
+    EXPECT_EQ(db.RelationNames(), names);
+    if (!table.ok()) return table.status();
+    return Fingerprint(*table);
   });
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/constraint_engine.h"
+#include "core/semandaq.h"
 #include "test_util.h"
 #include "workload/customer_gen.h"
 
@@ -79,24 +80,25 @@ TEST_F(ConstraintEngineTest, PersistAndLoadRoundTrip) {
   EXPECT_EQ(rows, 2u);
 }
 
-TEST_F(ConstraintEngineTest, DiscoverFromReferenceData) {
+TEST_F(ConstraintEngineTest, MineFromReferenceData) {
   workload::CustomerWorkloadOptions opts;
   opts.num_tuples = 200;
   opts.noise_rate = 0.0;
   opts.seed = 31;
   auto wl = workload::CustomerGenerator::Generate(opts);
-  Database db;
-  ASSERT_OK(db.AddRelation(std::move(wl.clean)));
+  // Discovery runs on the facade's epoch and lands in its constraint engine.
+  Semandaq sys;
+  ASSERT_OK(sys.Connect(std::move(wl.clean)));
 
-  ConstraintEngine engine(&db);
   discovery::CfdMinerOptions mopts;
   mopts.max_lhs = 2;
   mopts.min_support = 3;
-  ASSERT_OK_AND_ASSIGN(size_t added, engine.DiscoverFrom("customer_gold", mopts));
+  ASSERT_OK_AND_ASSIGN(size_t added, sys.Mine("customer_gold", mopts));
   EXPECT_GT(added, 0u);
-  EXPECT_EQ(engine.size(), added);
+  EXPECT_EQ(sys.constraints().size(), added);
   // Discovered constraints over clean data are consistent with each other.
-  ASSERT_OK_AND_ASSIGN(auto report, engine.Validate("customer_gold"));
+  ASSERT_OK_AND_ASSIGN(auto report,
+                       sys.constraints().Validate("customer_gold"));
   EXPECT_TRUE(report.satisfiable);
 }
 

@@ -132,7 +132,7 @@ TEST(IntegrationTest, DiscoveryToDetectionPipeline) {
   discovery::CfdMinerOptions mopts;
   mopts.max_lhs = 2;
   mopts.min_support = 4;
-  ASSERT_OK_AND_ASSIGN(size_t added, sys.constraints().DiscoverFrom("customer", mopts));
+  ASSERT_OK_AND_ASSIGN(size_t added, sys.Mine("customer", mopts));
   EXPECT_GT(added, 0u);
 
   // Swap in the dirty data and detect with the mined constraints.
@@ -146,6 +146,11 @@ TEST(IntegrationTest, PersistedCfdsSurviveReload) {
   ASSERT_OK(sys.Connect(semandaq::testing::PaperCustomerRelation()));
   ASSERT_OK(sys.constraints().AddCfdsFromText(semandaq::testing::PaperCfdText()));
   ASSERT_OK(sys.constraints().Persist());
+  // The SQL detector materializes and drops its own tableaux; it must do so
+  // in a scratch catalog, not over the persisted ones.
+  ASSERT_OK_AND_ASSIGN(auto sql, sys.DetectErrors("customer",
+                                                  Semandaq::DetectorKind::kSql));
+  EXPECT_EQ(sql.TotalVio(), 5);
   sys.constraints().Clear();
   ASSERT_OK(sys.constraints().LoadPersisted());
   ASSERT_OK_AND_ASSIGN(auto table, sys.DetectErrors("customer"));

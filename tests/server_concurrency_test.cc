@@ -1,10 +1,12 @@
 // The server's concurrency contract under real thread interleaving: N
-// reader sessions hammer detect/mine against epochs they pin while one
-// writer keeps appending batches — and EVERY reader result must be
-// byte-identical to a serial recomputation against a standalone rebuild
-// of exactly the epoch it pinned. This is the end-to-end composition of
-// the determinism invariant (same bytes across thread counts and SIMD
-// tiers) with snapshot immutability (pins never observe later writes).
+// reader sessions hammer detect/mine/SQL detect against epochs they pin
+// while one writer keeps appending batches — and EVERY reader result must
+// be byte-identical to a serial recomputation against a standalone
+// rebuild of exactly the epoch it pinned. Readers compute through
+// core::EpochRead, the one body the service's read verbs run. This is the
+// end-to-end composition of the determinism invariant (same bytes across
+// thread counts and SIMD tiers) with snapshot immutability (pins never
+// observe later writes).
 
 #include <atomic>
 #include <string>
@@ -14,8 +16,11 @@
 #include <gtest/gtest.h>
 
 #include "cfd/cfd_parser.h"
+#include "core/epoch.h"
 #include "detect/native_detector.h"
+#include "detect/sql_detector.h"
 #include "discovery/cfd_miner.h"
+#include "relational/database.h"
 #include "relational/encoded_relation.h"
 #include "relational/relation.h"
 #include "relational/value.h"
@@ -59,17 +64,21 @@ std::string CanonicalMine(const std::vector<cfd::Cfd>& mined) {
   return out;
 }
 
+/// What a reader computed: a mine, a native detect or a SQL detect.
+enum class ReadKind { kMine, kDetect, kDetectSql };
+
 /// One observation: the pinned snapshot and what a reader computed on it.
 struct Observation {
   core::SnapshotPtr snap;
-  bool is_mine = false;
+  ReadKind kind = ReadKind::kDetect;
   std::string result;
 };
 
 /// Serial ground truth: rebuild a standalone relation from the pinned
 /// snapshot's rows (append-only writer, so tuple ids are dense and
-/// preserved), encode it from scratch on this thread, and rerun the
-/// engine with one lane.
+/// preserved), and rerun the engine on it directly with one lane: the
+/// miner, the SQL detector in a database of its own, or the native
+/// detector over an encoding built from scratch on this thread.
 std::string SerialRecompute(const Observation& obs,
                             const std::vector<cfd::Cfd>& cfds) {
   Relation rebuilt{obs.snap->relation.name(), obs.snap->relation.schema()};
@@ -78,13 +87,21 @@ std::string SerialRecompute(const Observation& obs,
     EXPECT_TRUE(obs.snap->relation.IsLive(tid));
     rebuilt.MustInsert(obs.snap->relation.row(tid));
   }
-  EncodedRelation enc(&rebuilt);
-  if (obs.is_mine) {
+  if (obs.kind == ReadKind::kMine) {
     discovery::CfdMiner miner(&rebuilt, {});
     auto mined = miner.Mine();
     EXPECT_TRUE(mined.ok()) << mined.status().ToString();
     return mined.ok() ? CanonicalMine(*mined) : std::string();
   }
+  if (obs.kind == ReadKind::kDetectSql) {
+    relational::Database db;
+    EXPECT_OK(db.AddRelation(std::move(rebuilt)));
+    detect::SqlDetector det(&db, obs.snap->relation.name(), cfds);
+    auto table = det.Detect();
+    EXPECT_TRUE(table.ok()) << table.status().ToString();
+    return table.ok() ? CanonicalDetect(*table) : std::string();
+  }
+  EncodedRelation enc(&rebuilt);
   detect::DetectorOptions options;  // num_threads = 1: the serial scan
   detect::NativeDetector det(&rebuilt, cfds, options);
   det.set_encoded(&enc);
@@ -146,22 +163,18 @@ TEST(ServerConcurrencyTest, ReadersAreByteIdenticalToSerialRunsOnTheirEpoch) {
         // Lease worker lanes the way the command layer does: contended
         // requests degrade toward serial, output unchanged.
         ThreadLease lease = service.scheduler().Acquire((r % 4) + 1);
-        obs.is_mine = (r + i) % 3 == 0;
-        if (obs.is_mine) {
-          discovery::CfdMinerOptions options;
-          options.num_threads = lease.lanes();
-          options.pool = lease.pool();
-          discovery::CfdMiner miner(&obs.snap->relation, options);
-          auto mined = miner.Mine();
+        detect::DetectorOptions options;
+        options.num_threads = lease.lanes();
+        const core::EpochRead read{obs.snap, cfds, options, lease.pool()};
+        obs.kind = static_cast<ReadKind>((r + i) % 3);
+        if (obs.kind == ReadKind::kMine) {
+          auto mined = read.Mine();
           ASSERT_TRUE(mined.ok()) << mined.status().ToString();
           obs.result = CanonicalMine(*mined);
         } else {
-          detect::DetectorOptions options;
-          options.num_threads = lease.lanes();
-          detect::NativeDetector det(&obs.snap->relation, cfds, options);
-          det.set_thread_pool(lease.pool());
-          det.set_encoded(&*obs.snap->encoded);
-          auto table = det.Detect();
+          auto table = obs.kind == ReadKind::kDetectSql
+                           ? read.DetectSql()
+                           : read.Detector().Detect();
           ASSERT_TRUE(table.ok()) << table.status().ToString();
           obs.result = CanonicalDetect(*table);
         }
