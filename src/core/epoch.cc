@@ -40,6 +40,7 @@ common::Result<detect::ViolationTable> EpochRead::DetectSql() const {
   SEMANDAQ_ASSIGN_OR_RETURN(PinnedCatalog catalog, PinCatalog({snap}));
   detect::SqlDetector detector(&catalog.db, snap->relation.name(), cfds);
   detector.set_cancel(options.cancel);
+  detector.set_encoded_provider(catalog.encoded);
   return detector.Detect();
 }
 

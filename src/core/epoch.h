@@ -48,7 +48,7 @@ using SnapshotPtr = std::shared_ptr<const RelationSnapshot>;
 /// tableaux) dies with it.
 struct PinnedCatalog {
   relational::Database db;
-  sql::EncodedProvider encoded;  ///< code fast paths; `sql` verb only so far
+  sql::EncodedProvider encoded;  ///< the executor's code fast paths
 };
 
 /// Builds the scratch catalog of `pins` (one epoch per relation name).
@@ -69,7 +69,8 @@ struct EpochRead {
   /// A native detector over the epoch's frozen encoding.
   detect::NativeDetector Detector() const;
   /// The paper's generated-SQL detector (Q_C / Q_V) on a PinnedCatalog of
-  /// the epoch, under `options.cancel`: the native kernels' oracle.
+  /// the epoch, with its frozen encoding as the executor's code provider,
+  /// under `options.cancel`: the native kernels' oracle.
   common::Result<detect::ViolationTable> DetectSql() const;
   /// Error detector + data auditor: the data quality report (Fig. 4).
   common::Result<audit::QualityReport> Report() const;

@@ -33,6 +33,7 @@ common::Result<ViolationTable> SqlDetector::Detect() {
   const std::vector<cfd::EmbeddedFdGroup> groups = cfd::GroupByEmbeddedFd(cfds_);
   sql::Engine engine(db_);
   engine.set_cancel(cancel_);
+  engine.set_encoded_provider(encoded_);
   ViolationTable table;
 
   for (const DetectionQueries& q : queries_) {

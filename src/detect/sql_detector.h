@@ -2,6 +2,7 @@
 #define SEMANDAQ_DETECT_SQL_DETECTOR_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cfd/cfd.h"
@@ -10,6 +11,7 @@
 #include "detect/sql_generator.h"
 #include "detect/violation.h"
 #include "relational/database.h"
+#include "sql/executor.h"
 
 namespace semandaq::detect {
 
@@ -34,6 +36,13 @@ class SqlDetector {
   /// Cancel token for every generated query's engine; nullptr = none.
   void set_cancel(common::CancelToken* cancel) { cancel_ = cancel; }
 
+  /// Encoded snapshots for the generated queries' engine (see
+  /// sql::Engine::set_encoded_provider): Q_V's GROUP BY then keys on codes.
+  /// Results are identical with or without it.
+  void set_encoded_provider(sql::EncodedProvider provider) {
+    encoded_ = std::move(provider);
+  }
+
   common::Result<ViolationTable> Detect();
 
   /// The generated SQL of the last Detect() call, for inspection and tests.
@@ -47,6 +56,7 @@ class SqlDetector {
   std::vector<cfd::Cfd> cfds_;
   std::vector<DetectionQueries> queries_;
   common::CancelToken* cancel_ = nullptr;
+  sql::EncodedProvider encoded_;
 };
 
 }  // namespace semandaq::detect

@@ -56,6 +56,12 @@ class Binder {
     if (q_.stmt.from.empty()) {
       return Status::InvalidArgument("FROM clause is required");
     }
+    if (q_.stmt.from.size() > kMaxFromTables) {
+      return Status::InvalidArgument("FROM names " +
+                                     std::to_string(q_.stmt.from.size()) +
+                                     " tables; at most " +
+                                     std::to_string(kMaxFromTables) + " are supported");
+    }
     std::unordered_set<std::string> seen;
     for (const TableRef& tr : q_.stmt.from) {
       const relational::Relation* rel = db_.FindRelation(tr.table_name);

@@ -11,6 +11,10 @@
 
 namespace semandaq::sql {
 
+/// Most FROM entries one query may name: the executor keeps a query's
+/// joined tables in a 64-bit mask.
+inline constexpr size_t kMaxFromTables = 64;
+
 /// Name of the pseudo-column exposing a tuple's stable id to SQL. The CFD
 /// detection queries select it so violations can be mapped back to tuples.
 inline constexpr const char* kTidPseudoColumn = "__tid";
@@ -38,11 +42,12 @@ struct BoundQuery {
 
 /// Performs name resolution and semantic checks against `db`.
 ///
-/// Rules enforced: FROM tables must exist and have unique effective names;
-/// column refs must resolve uniquely; only COUNT/SUM/AVG/MIN/MAX calls are
-/// known, they may not nest, and they may not appear in WHERE or GROUP BY;
-/// aggregate queries may not select bare stars. An unqualified ORDER BY
-/// column that names no FROM column may name a select-list output alias.
+/// Rules enforced: FROM names 1..kMaxFromTables tables, which must exist
+/// and have unique effective names; column refs must resolve uniquely;
+/// only COUNT/SUM/AVG/MIN/MAX calls are known, they may not nest, and they
+/// may not appear in WHERE or GROUP BY; aggregate queries may not select
+/// bare stars. An unqualified ORDER BY column that names no FROM column may
+/// name a select-list output alias.
 common::Result<BoundQuery> Bind(SelectStmt stmt, const relational::Database& db);
 
 }  // namespace semandaq::sql

@@ -27,11 +27,51 @@ using relational::RowHash;
 using relational::TupleId;
 using relational::Value;
 
-/// A partial or complete cross-product row: one base-table row pointer and
-/// tuple id per FROM entry (null until that table is joined).
-struct JoinedRow {
-  std::vector<const Row*> rows;
-  std::vector<TupleId> tids;
+/// One FROM entry's part of a joined row: its base-table row and tuple id
+/// (null and -1 until that table is joined).
+struct Slot {
+  const Row* row = nullptr;
+  TupleId tid = -1;
+};
+
+/// The rows of an intermediate join result, stored flat: row i is the
+/// `width` slots (one per FROM entry) at i * width, so no row allocates on
+/// its own. Expressions read a row through a pointer to its first slot.
+class JoinBuffer {
+ public:
+  explicit JoinBuffer(size_t width) : width_(width) {}
+
+  size_t size() const { return slots_.size() / width_; }
+  const Slot* row(size_t i) const { return slots_.data() + i * width_; }
+  void reserve(size_t rows) { slots_.reserve(rows * width_); }
+
+  /// Appends `prefix` (a row of this width, not of this buffer) with slot t
+  /// set to (row, tid).
+  void Append(const Slot* prefix, size_t t, const Row* row, TupleId tid) {
+    slots_.insert(slots_.end(), prefix, prefix + width_);
+    slots_[slots_.size() - width_ + t] = Slot{row, tid};
+  }
+
+  /// Keeps the rows `keep` accepts, in order; `keep` returns false to drop
+  /// a row or an error to stop.
+  template <typename Keep>
+  Status Filter(const Keep& keep) {
+    size_t kept = 0;
+    for (size_t i = 0; i < size(); ++i) {
+      SEMANDAQ_ASSIGN_OR_RETURN(bool k, keep(row(i)));
+      if (!k) continue;
+      if (kept != i) {
+        std::copy(row(i), row(i) + width_, slots_.begin() + kept * width_);
+      }
+      ++kept;
+    }
+    slots_.resize(kept * width_);
+    return Status::OK();
+  }
+
+ private:
+  size_t width_;
+  std::vector<Slot> slots_;
 };
 
 /// Tri-state boolean for SQL three-valued logic.
@@ -71,7 +111,7 @@ struct AggState {
 
 /// Per-row / per-group expression evaluation context.
 struct EvalContext {
-  const JoinedRow* row = nullptr;                ///< null only for empty global group
+  const Slot* row = nullptr;  ///< null only for the empty global group
   const std::vector<Value>* agg_values = nullptr;  ///< set in group context
 };
 
@@ -80,6 +120,9 @@ struct EvalContext {
 /// lands within tens of milliseconds of work.
 constexpr size_t kCancelBatch = 4096;
 
+/// A FROM table's rows that passed its single-table conjuncts, in tid order.
+using Scan = std::vector<std::pair<TupleId, const Row*>>;
+
 class ExecutorImpl {
  public:
   ExecutorImpl(const BoundQuery& q, const EncodedProvider& encoded,
@@ -87,7 +130,7 @@ class ExecutorImpl {
       : q_(q), provider_(encoded), cancel_(cancel) {}
 
   Result<Relation> Run(std::string_view result_name) {
-    SEMANDAQ_ASSIGN_OR_RETURN(std::vector<JoinedRow> rows, BuildJoin());
+    SEMANDAQ_ASSIGN_OR_RETURN(JoinBuffer rows, BuildJoin());
     std::vector<Row> produced;      // projected output rows
     std::vector<Row> sort_keys;     // parallel, only when ORDER BY present
     if (q_.is_aggregate) {
@@ -116,18 +159,26 @@ class ExecutorImpl {
 
   // -- Expression evaluation -----------------------------------------------
 
+  /// The cell column reference `e` names on ctx's row, read in place; nullptr
+  /// for any other expression, for `__tid`, and in the empty global group.
+  static const Value* CellOf(const Expr& e, const EvalContext& ctx) {
+    if (e.kind != ExprKind::kColumnRef || e.bound_col < 0 || ctx.row == nullptr) {
+      return nullptr;
+    }
+    const Row* row = ctx.row[e.bound_table].row;
+    return row == nullptr ? nullptr : &(*row)[static_cast<size_t>(e.bound_col)];
+  }
+
   Result<Value> Eval(const Expr& e, const EvalContext& ctx) {
     switch (e.kind) {
       case ExprKind::kLiteral:
         return e.literal;
       case ExprKind::kColumnRef: {
-        if (ctx.row == nullptr || ctx.row->rows[e.bound_table] == nullptr) {
+        if (const Value* cell = CellOf(e, ctx)) return *cell;
+        if (ctx.row == nullptr || ctx.row[e.bound_table].row == nullptr) {
           return Value::Null();  // empty global aggregate group
         }
-        if (e.bound_col == Expr::kTidColumn) {
-          return Value::Int(ctx.row->tids[e.bound_table]);
-        }
-        return (*ctx.row->rows[e.bound_table])[static_cast<size_t>(e.bound_col)];
+        return Value::Int(ctx.row[e.bound_table].tid);  // __tid
       }
       case ExprKind::kUnary: {
         SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*e.left, ctx));
@@ -178,6 +229,9 @@ class ExecutorImpl {
         return TriToValue(e.negated ? TriBool::kTrue : TriBool::kFalse);
       }
       case ExprKind::kIsNull: {
+        if (const Value* cell = CellOf(*e.left, ctx)) {
+          return Value::Int((cell->is_null() != e.negated) ? 1 : 0);
+        }
         SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*e.left, ctx));
         const bool isnull = v.is_null();
         return Value::Int((isnull != e.negated) ? 1 : 0);
@@ -376,9 +430,7 @@ class ExecutorImpl {
   /// residual conjuncts evaluate row-at-a-time over the surviving bits.
   /// Emission is ascending-tid either way, so both paths produce the same
   /// scan in the same order.
-  Status ScanTable(size_t t, const std::vector<Expr*>& local,
-                   std::vector<std::pair<TupleId, const Row*>>* scan) {
-    const size_t n = q_.tables.size();
+  Status ScanTable(size_t t, const std::vector<Expr*>& local, Scan* scan) {
     const Relation* rel = q_.tables[t];
     std::vector<const uint32_t*> cols;
     std::vector<uint32_t> consts;
@@ -403,27 +455,16 @@ class ExecutorImpl {
     }
 
     Status scan_status;
+    std::vector<Slot> probe(q_.tables.size());
     auto probe_row = [&](TupleId tid, const Row& row) {
       if (!scan_status.ok()) return;
       scan_status = MaybeCheckCancel();
       if (!scan_status.ok()) return;
-      JoinedRow probe;
-      probe.rows.assign(n, nullptr);
-      probe.tids.assign(n, -1);
-      probe.rows[t] = &row;
-      probe.tids[t] = tid;
-      EvalContext ctx{.row = &probe, .agg_values = nullptr};
+      probe[t] = Slot{&row, tid};
       for (Expr* c : residual) {
-        auto v = Eval(*c, ctx);
-        if (!v.ok()) {
-          scan_status = v.status();
-          return;
-        }
-        Status st;
-        if (ValueToTri(*v, &st) != TriBool::kTrue) {
-          if (!st.ok()) scan_status = st;
-          return;
-        }
+        auto holds = Holds(*c, probe.data());
+        if (!holds.ok()) scan_status = holds.status();
+        if (!holds.ok() || !*holds) return;
       }
       scan->emplace_back(tid, &row);
     };
@@ -444,13 +485,114 @@ class ExecutorImpl {
     return scan_status;
   }
 
-  Result<std::vector<JoinedRow>> BuildJoin() {
+  /// Whether conjunct `c` is TRUE (neither FALSE nor UNKNOWN) on `row`.
+  Result<bool> Holds(const Expr& c, const Slot* row) {
+    SEMANDAQ_ASSIGN_OR_RETURN(Value v,
+                              Eval(c, EvalContext{.row = row, .agg_values = nullptr}));
+    Status st;
+    const bool holds = ValueToTri(v, &st) == TriBool::kTrue;
+    SEMANDAQ_RETURN_IF_ERROR(st);
+    return holds;
+  }
+
+  /// One `(p.X = t.Y OR t.Y IS NULL)` conjunct of a pattern-match join:
+  /// p.X, a column of the joined prefix, and t.Y's column ordinal.
+  struct PatternCol {
+    const Expr* prefix;
+    size_t col;
+  };
+
+  /// True when `e` is `(p.X = t.Y OR t.Y IS NULL)` (either operand order of
+  /// the `=`) with p in `joined_mask` and t.Y a real column of table t: the
+  /// pattern match of the generated detection queries, where a NULL
+  /// pattern cell is the wildcard.
+  static bool IsPatternMatch(const Expr& e, size_t t, uint64_t joined_mask,
+                             PatternCol* out) {
+    if (e.kind != ExprKind::kBinary || e.bin_op != BinOp::kOr) return false;
+    const Expr& eq = *e.left;
+    const Expr& is_null = *e.right;
+    if (eq.kind != ExprKind::kBinary || eq.bin_op != BinOp::kEq ||
+        is_null.kind != ExprKind::kIsNull || is_null.negated) {
+      return false;
+    }
+    const Expr& wild = *is_null.left;
+    if (wild.kind != ExprKind::kColumnRef || wild.bound_table != static_cast<int>(t) ||
+        wild.bound_col < 0) {
+      return false;
+    }
+    auto is_wild = [&](const Expr& c) {
+      return c.kind == ExprKind::kColumnRef && c.bound_table == wild.bound_table &&
+             c.bound_col == wild.bound_col;
+    };
+    auto in_prefix = [&](const Expr& c) {
+      return c.kind == ExprKind::kColumnRef && c.bound_col >= 0 &&
+             c.bound_table >= 0 && ((joined_mask >> c.bound_table) & 1) != 0;
+    };
+    if (is_wild(*eq.right) && in_prefix(*eq.left)) {
+      *out = PatternCol{eq.left.get(), static_cast<size_t>(wild.bound_col)};
+    } else if (is_wild(*eq.left) && in_prefix(*eq.right)) {
+      *out = PatternCol{eq.right.get(), static_cast<size_t>(wild.bound_col)};
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  /// Joins the prefix with table t's scan over pattern-match conjuncts
+  /// (IsPatternMatch) without building the cross product. Each scanned row
+  /// compiles to (prefix cell, constant) checks, one per non-NULL cell; its
+  /// NULL cells are wildcards and check nothing. A pair is emitted when
+  /// every check holds: the prefix cell is non-NULL and Compare()s equal,
+  /// as `=` and OR evaluate it (a NULL prefix cell makes `=` UNKNOWN and the
+  /// wildcard branch FALSE). Emission is prefix-major, scan-minor: the
+  /// cross product's order, less the pairs its filter would have dropped.
+  /// With no pattern (or an all-wildcard scan) there are no checks, and this
+  /// is the cross product.
+  Status PatternJoin(const JoinBuffer& acc, size_t t,
+                     const std::vector<PatternCol>& pattern, const Scan& scan,
+                     JoinBuffer* next) {
+    struct Check {
+      size_t table;
+      size_t col;
+      const Value* constant;
+    };
+    std::vector<Check> checks;
+    std::vector<size_t> ends;  // scanned row s owns checks [ends[s-1], ends[s])
+    ends.reserve(scan.size());
+    for (const auto& [tid, row] : scan) {
+      for (const PatternCol& p : pattern) {
+        const Value& cell = (*row)[p.col];
+        if (cell.is_null()) continue;
+        checks.push_back(Check{static_cast<size_t>(p.prefix->bound_table),
+                               static_cast<size_t>(p.prefix->bound_col), &cell});
+      }
+      ends.push_back(checks.size());
+    }
+    if (checks.empty()) next->reserve(acc.size() * std::max<size_t>(1, scan.size()));
+    for (size_t i = 0; i < acc.size(); ++i) {
+      SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
+      const Slot* prefix = acc.row(i);
+      size_t begin = 0;
+      for (size_t s = 0; s < scan.size(); ++s) {
+        bool match = true;
+        for (size_t k = begin; match && k < ends[s]; ++k) {
+          const Value& v = (*prefix[checks[k].table].row)[checks[k].col];
+          match = !v.is_null() && v.Compare(*checks[k].constant) == 0;
+        }
+        begin = ends[s];
+        if (match) next->Append(prefix, t, scan[s].second, scan[s].first);
+      }
+    }
+    return Status::OK();
+  }
+
+  Result<JoinBuffer> BuildJoin() {
     const size_t n = q_.tables.size();
     std::vector<Expr*> conjuncts;
     CollectConjuncts(q_.stmt.where.get(), &conjuncts);
     std::vector<bool> applied(conjuncts.size(), false);
 
-    std::vector<JoinedRow> acc;
+    JoinBuffer acc(n);
     uint64_t joined_mask = 0;
 
     for (size_t t = 0; t < n; ++t) {
@@ -465,20 +607,16 @@ class ExecutorImpl {
           applied[ci] = true;
         }
       }
-      std::vector<std::pair<TupleId, const Row*>> scan;
+      Scan scan;
       SEMANDAQ_RETURN_IF_ERROR(ScanTable(t, local, &scan));
 
       if (t == 0) {
+        const std::vector<Slot> empty(n);
         acc.reserve(scan.size());
         for (auto& [tid, row] : scan) {
-          JoinedRow jr;
-          jr.rows.assign(n, nullptr);
-          jr.tids.assign(n, -1);
-          jr.rows[0] = row;
-          jr.tids[0] = tid;
-          acc.push_back(std::move(jr));
+          SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
+          acc.Append(empty.data(), 0, row, tid);
         }
-        joined_mask = t_bit;
       } else {
         // Find usable equi conjuncts: left side in joined prefix, right side
         // exactly table t (or mirrored).
@@ -498,8 +636,21 @@ class ExecutorImpl {
             applied[ci] = true;
           }
         }
+        // Without an equi key, the pattern-match conjuncts (if any) join
+        // instead; with none, PatternJoin is the cross product.
+        std::vector<PatternCol> pattern;
+        if (keys.empty()) {
+          for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+            PatternCol p{};
+            if (!applied[ci] && IsPatternMatch(*conjuncts[ci], t, joined_mask, &p)) {
+              pattern.push_back(p);
+              applied[ci] = true;
+            }
+          }
+        }
 
-        std::vector<JoinedRow> next;
+        JoinBuffer next(n);
+        std::vector<Slot> probe(n);  // table t's side of a hash-join build
         // A key pair comparing one relation's column to itself (the
         // self-join shape of detection queries) shares a dictionary on both
         // sides, so exact-equality hash keys can be uint32 codes instead of
@@ -519,7 +670,7 @@ class ExecutorImpl {
           }
         }
         if (code_join) {
-          auto code_key = [&](const std::vector<TupleId>& tids,
+          auto code_key = [&](const Slot* row,
                               bool probe_side) -> std::optional<std::vector<Code>> {
             std::vector<Code> key;
             key.reserve(keys.size());
@@ -527,7 +678,7 @@ class ExecutorImpl {
               const Expr* side = probe_side ? pt : pl;
               const size_t st = static_cast<size_t>(side->bound_table);
               const Code c = EncodedFor(st)->code(
-                  tids[st], static_cast<size_t>(side->bound_col));
+                  row[st].tid, static_cast<size_t>(side->bound_col));
               if (c == kNullCode) return std::nullopt;  // NULL never joins
               key.push_back(c);
             }
@@ -536,36 +687,28 @@ class ExecutorImpl {
           std::unordered_map<std::vector<Code>, std::vector<size_t>,
                              relational::CodeVecHash>
               ht;
-          std::vector<TupleId> probe_tids(n, -1);
           for (size_t si = 0; si < scan.size(); ++si) {
-            probe_tids[t] = scan[si].first;
-            if (auto key = code_key(probe_tids, /*probe_side=*/true)) {
+            probe[t] = Slot{scan[si].second, scan[si].first};
+            if (auto key = code_key(probe.data(), /*probe_side=*/true)) {
               ht[std::move(*key)].push_back(si);
             }
           }
-          for (JoinedRow& jr : acc) {
+          for (size_t i = 0; i < acc.size(); ++i) {
             SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-            auto key = code_key(jr.tids, /*probe_side=*/false);
+            auto key = code_key(acc.row(i), /*probe_side=*/false);
             if (!key) continue;
             auto it = ht.find(*key);
             if (it == ht.end()) continue;
             for (size_t si : it->second) {
-              JoinedRow ext = jr;
-              ext.rows[t] = scan[si].second;
-              ext.tids[t] = scan[si].first;
-              next.push_back(std::move(ext));
+              next.Append(acc.row(i), t, scan[si].second, scan[si].first);
             }
           }
         } else if (!keys.empty()) {
           // Hash the new table side.
           std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> ht;
           for (size_t si = 0; si < scan.size(); ++si) {
-            JoinedRow probe;
-            probe.rows.assign(n, nullptr);
-            probe.tids.assign(n, -1);
-            probe.rows[t] = scan[si].second;
-            probe.tids[t] = scan[si].first;
-            EvalContext ctx{.row = &probe, .agg_values = nullptr};
+            probe[t] = Slot{scan[si].second, scan[si].first};
+            EvalContext ctx{.row = probe.data(), .agg_values = nullptr};
             Row key;
             key.reserve(keys.size());
             bool null_key = false;
@@ -580,11 +723,11 @@ class ExecutorImpl {
             if (null_key) continue;  // NULL never joins
             ht[std::move(key)].push_back(si);
           }
-          for (JoinedRow& jr : acc) {
+          Row key;
+          for (size_t i = 0; i < acc.size(); ++i) {
             SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-            EvalContext ctx{.row = &jr, .agg_values = nullptr};
-            Row key;
-            key.reserve(keys.size());
+            EvalContext ctx{.row = acc.row(i), .agg_values = nullptr};
+            key.clear();
             bool null_key = false;
             for (auto& [pl, pt] : keys) {
               SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*pl, ctx));
@@ -598,27 +741,15 @@ class ExecutorImpl {
             auto it = ht.find(key);
             if (it == ht.end()) continue;
             for (size_t si : it->second) {
-              JoinedRow ext = jr;
-              ext.rows[t] = scan[si].second;
-              ext.tids[t] = scan[si].first;
-              next.push_back(std::move(ext));
+              next.Append(acc.row(i), t, scan[si].second, scan[si].first);
             }
           }
         } else {
-          next.reserve(acc.size() * std::max<size_t>(1, scan.size()));
-          for (const JoinedRow& jr : acc) {
-            SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-            for (auto& [tid, row] : scan) {
-              JoinedRow ext = jr;
-              ext.rows[t] = row;
-              ext.tids[t] = tid;
-              next.push_back(std::move(ext));
-            }
-          }
+          SEMANDAQ_RETURN_IF_ERROR(PatternJoin(acc, t, pattern, scan, &next));
         }
         acc = std::move(next);
-        joined_mask |= t_bit;
       }
+      joined_mask |= t_bit;
 
       // Apply any pending conjuncts fully covered by the joined prefix.
       for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
@@ -626,16 +757,10 @@ class ExecutorImpl {
         const uint64_t m = TableMask(*conjuncts[ci]);
         if ((m & ~joined_mask) != 0) continue;
         applied[ci] = true;
-        std::vector<JoinedRow> kept;
-        kept.reserve(acc.size());
-        for (JoinedRow& jr : acc) {
-          EvalContext ctx{.row = &jr, .agg_values = nullptr};
-          SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*conjuncts[ci], ctx));
-          Status st;
-          if (ValueToTri(v, &st) == TriBool::kTrue) kept.push_back(std::move(jr));
-          SEMANDAQ_RETURN_IF_ERROR(st);
-        }
-        acc = std::move(kept);
+        SEMANDAQ_RETURN_IF_ERROR(acc.Filter([&](const Slot* row) -> Result<bool> {
+          SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
+          return Holds(*conjuncts[ci], row);
+        }));
       }
     }
     return acc;
@@ -648,7 +773,13 @@ class ExecutorImpl {
       ++st->count;
       return Status::OK();
     }
-    SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*call.args[0], ctx));
+    const Value* cell = CellOf(*call.args[0], ctx);
+    Value computed;
+    if (cell == nullptr) {
+      SEMANDAQ_ASSIGN_OR_RETURN(computed, Eval(*call.args[0], ctx));
+      cell = &computed;
+    }
+    const Value& v = *cell;
     if (v.is_null()) return Status::OK();  // aggregates skip NULLs
     if (call.distinct) {
       if (!st->distinct.insert(v).second) return Status::OK();
@@ -687,7 +818,7 @@ class ExecutorImpl {
     return st.max;  // MAX
   }
 
-  Status RunAggregate(const std::vector<JoinedRow>& rows, std::vector<Row>* produced,
+  Status RunAggregate(const JoinBuffer& rows, std::vector<Row>* produced,
                       std::vector<Row>* sort_keys) {
     // GROUP BY over plain column refs of encoded tables keys the group
     // hash on uint32 codes. Code equality is exact Value equality — the
@@ -703,11 +834,11 @@ class ExecutorImpl {
       }
     }
     if (code_keys) {
-      auto make_key = [&](const JoinedRow& jr, std::vector<Code>* key) -> Status {
+      auto make_key = [&](const Slot* row, std::vector<Code>* key) -> Status {
         key->reserve(q_.stmt.group_by.size());
         for (const auto& g : q_.stmt.group_by) {
           const size_t gt = static_cast<size_t>(g->bound_table);
-          key->push_back(EncodedFor(gt)->code(jr.tids[gt],
+          key->push_back(EncodedFor(gt)->code(row[gt].tid,
                                               static_cast<size_t>(g->bound_col)));
         }
         return Status::OK();
@@ -716,8 +847,8 @@ class ExecutorImpl {
                                std::equal_to<std::vector<Code>>>(
           rows, make_key, produced, sort_keys);
     }
-    auto make_key = [&](const JoinedRow& jr, Row* key) -> Status {
-      EvalContext ctx{.row = &jr, .agg_values = nullptr};
+    auto make_key = [&](const Slot* row, Row* key) -> Status {
+      EvalContext ctx{.row = row, .agg_values = nullptr};
       key->reserve(q_.stmt.group_by.size());
       for (const auto& g : q_.stmt.group_by) {
         SEMANDAQ_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
@@ -730,23 +861,24 @@ class ExecutorImpl {
   }
 
   template <typename Key, typename Hash, typename Eq, typename KeyFn>
-  Status RunAggregateKeyed(const std::vector<JoinedRow>& rows, const KeyFn& make_key,
+  Status RunAggregateKeyed(const JoinBuffer& rows, const KeyFn& make_key,
                            std::vector<Row>* produced, std::vector<Row>* sort_keys) {
     struct Group {
       std::vector<AggState> states;
-      const JoinedRow* representative = nullptr;
+      const Slot* representative = nullptr;
     };
     std::unordered_map<Key, Group, Hash, Eq> groups;
 
-    for (const JoinedRow& jr : rows) {
+    Key key;
+    for (size_t i = 0; i < rows.size(); ++i) {
       SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-      EvalContext ctx{.row = &jr, .agg_values = nullptr};
-      Key key;
-      SEMANDAQ_RETURN_IF_ERROR(make_key(jr, &key));
+      EvalContext ctx{.row = rows.row(i), .agg_values = nullptr};
+      key.clear();
+      SEMANDAQ_RETURN_IF_ERROR(make_key(ctx.row, &key));
       Group& grp = groups[key];
       if (grp.states.empty()) {
         grp.states.resize(q_.aggregates.size());
-        grp.representative = &jr;
+        grp.representative = ctx.row;
       }
       for (size_t a = 0; a < q_.aggregates.size(); ++a) {
         SEMANDAQ_RETURN_IF_ERROR(AccumulateAgg(*q_.aggregates[a], ctx, &grp.states[a]));
@@ -776,11 +908,11 @@ class ExecutorImpl {
     return Status::OK();
   }
 
-  Status RunProjection(const std::vector<JoinedRow>& rows, std::vector<Row>* produced,
+  Status RunProjection(const JoinBuffer& rows, std::vector<Row>* produced,
                        std::vector<Row>* sort_keys) {
-    for (const JoinedRow& jr : rows) {
+    for (size_t i = 0; i < rows.size(); ++i) {
       SEMANDAQ_RETURN_IF_ERROR(MaybeCheckCancel());
-      EvalContext ctx{.row = &jr, .agg_values = nullptr};
+      EvalContext ctx{.row = rows.row(i), .agg_values = nullptr};
       SEMANDAQ_RETURN_IF_ERROR(EmitRow(ctx, produced, sort_keys));
     }
     return Status::OK();
@@ -807,17 +939,26 @@ class ExecutorImpl {
     return Status::OK();
   }
 
+  /// Keeps the first occurrence of each distinct row, in order, compacting
+  /// in place. `seen` holds positions below `kept`, which are final, so
+  /// looking a row up never copies it.
   void Deduplicate(std::vector<Row>* produced, std::vector<Row>* sort_keys) {
-    std::unordered_set<Row, RowHash, RowEq> seen;
-    std::vector<Row> rows_out;
-    std::vector<Row> keys_out;
-    for (size_t i = 0; i < produced->size(); ++i) {
-      if (!seen.insert((*produced)[i]).second) continue;
-      rows_out.push_back(std::move((*produced)[i]));
-      if (!sort_keys->empty()) keys_out.push_back(std::move((*sort_keys)[i]));
+    std::vector<Row>& rows = *produced;
+    auto hash = [&](size_t i) { return RowHash{}(rows[i]); };
+    auto eq = [&](size_t a, size_t b) { return RowEq{}(rows[a], rows[b]); };
+    std::unordered_set<size_t, decltype(hash), decltype(eq)> seen(rows.size(), hash,
+                                                                  eq);
+    size_t kept = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (seen.find(i) != seen.end()) continue;
+      if (kept != i) {
+        rows[kept] = std::move(rows[i]);
+        if (!sort_keys->empty()) (*sort_keys)[kept] = std::move((*sort_keys)[i]);
+      }
+      seen.insert(kept++);
     }
-    *produced = std::move(rows_out);
-    *sort_keys = std::move(keys_out);
+    rows.resize(kept);
+    if (!sort_keys->empty()) sort_keys->resize(kept);
   }
 
   void SortRows(std::vector<Row>* produced, std::vector<Row>* sort_keys) {

@@ -24,11 +24,20 @@ using EncodedProvider = std::function<const relational::EncodedRelation*(
 ///
 /// Physical strategy: left-deep join in FROM order. Equality conjuncts
 /// between the joined prefix and the next table become composite-key hash
-/// joins (SQL NULL semantics: null keys never match); everything else is a
-/// nested-loop filter applied as soon as all referenced tables are joined.
-/// Aggregation is hash-based with per-group states for COUNT / COUNT
-/// DISTINCT / SUM / AVG / MIN / MAX. NULL comparison follows three-valued
-/// logic throughout.
+/// joins (SQL NULL semantics: null keys never match). Without one, the
+/// pattern-match conjuncts `(p.X = t.Y OR t.Y IS NULL)` of the generated
+/// CFD detection queries (p in the prefix, t a pattern tableau) become a
+/// pattern-match join: each scanned row of t compiles to equality checks
+/// on its non-NULL cells (NULL is the wildcard), and each prefix row is
+/// paired only with the rows whose checks all hold, in the cross
+/// product's prefix-major order. Any other next table is the same join
+/// with no checks: the cross product.
+/// Everything else is a nested-loop filter applied as soon as all
+/// referenced tables are joined. Intermediate rows live in one flat
+/// buffer, a row pointer and tuple id per FROM table per row, so no row
+/// allocates on its own. Aggregation is hash-based with per-group states
+/// for COUNT / COUNT DISTINCT / SUM / AVG / MIN / MAX. NULL comparison
+/// follows three-valued logic throughout.
 ///
 /// With an EncodedProvider, tables whose warm snapshot is in sync get the
 /// code-compiled fast paths — results are row-for-row identical to the

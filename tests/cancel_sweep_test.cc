@@ -265,6 +265,33 @@ TEST(CancelSweepTest, SqlDetectorLeavesItsDatabaseAsItWas) {
   });
 }
 
+TEST(CancelSweepTest, SqlDetectorPastTheCheckBatchIsAllOrNothing) {
+  // The paper's seven tuples repeated past two executor check batches
+  // (4096 rows), so cancels also land inside the row loops: the scans,
+  // the pattern-match join, the hash join, the filters, aggregation and
+  // projection.
+  const Relation paper = testing::PaperCustomerRelation();
+  Relation customer{"customer", paper.schema()};
+  for (int copy = 0; copy < 1200; ++copy) {
+    paper.ForEach([&](relational::TupleId, const relational::Row& row) {
+      customer.MustInsert(row);
+    });
+  }
+  relational::Database db;
+  ASSERT_OK(db.AddRelation(std::move(customer)));
+  const std::vector<std::string> names = db.RelationNames();
+  SweepCheckpoints("sql-detector-8400", [&](CancelToken* token)
+                                            -> common::Result<std::string> {
+    detect::SqlDetector detector(&db, "customer",
+                                 Parse(testing::PaperCfdText()));
+    detector.set_cancel(token);
+    auto table = detector.Detect();
+    EXPECT_EQ(db.RelationNames(), names);
+    if (!table.ok()) return table.status();
+    return Fingerprint(*table);
+  });
+}
+
 TEST(CancelSweepTest, MineIsAllOrNothing) {
   const Relation rel = testing::PaperCustomerRelation();
   const std::string before = Fingerprint(rel);

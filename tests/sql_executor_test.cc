@@ -279,6 +279,35 @@ TEST_F(SqlExecutorTest, BinderErrors) {
   EXPECT_FALSE(engine.Query("SELECT * FROM customer c, country c").ok());
 }
 
+TEST(SqlExecutorFromLimit, SixtyFourTablesRunAndMoreAreRejected) {
+  // The executor tracks joined tables in a 64-bit mask; past 64 FROM
+  // entries the binder must refuse rather than place conjuncts wrongly.
+  Database db;
+  relational::Schema schema;
+  ASSERT_OK(schema.AddAttribute({"A", relational::DataType::kInt, {}}));
+  ASSERT_OK(schema.AddAttribute({"B", relational::DataType::kString, {}}));
+  Relation r{"r", std::move(schema)};
+  r.MustInsert({Value::Int(1), Value::String("x")});
+  ASSERT_OK(db.AddRelation(std::move(r)));
+  auto self_join = [](size_t tables, const std::string& where) {
+    std::string sql = "SELECT COUNT(*) FROM ";
+    for (size_t i = 0; i < tables; ++i) {
+      sql += (i == 0 ? "r a" : ", r a") + std::to_string(i);
+    }
+    return sql + " WHERE " + where;
+  };
+  Engine engine(&db);
+  ASSERT_OK_AND_ASSIGN(Relation got, engine.Query(self_join(64, "a63.A = a0.A")));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got.cell(0, 0), Value::Int(1));
+
+  for (const char* where : {"a64.B = 'x'", "a64.A = a0.A"}) {
+    auto refused = engine.Query(self_join(65, where));
+    EXPECT_EQ(refused.status().code(), common::StatusCode::kInvalidArgument)
+        << where << ": " << refused.status().ToString();
+  }
+}
+
 TEST_F(SqlExecutorTest, StringsAreNotBooleans) {
   Engine engine(&db_);
   EXPECT_FALSE(engine.Query("SELECT * FROM customer WHERE NAME").ok());
