@@ -157,8 +157,8 @@ BENCHMARK(BM_FdMine)
 
 // Full CfdMiner::Mine (constant + variable CFDs, embedded FD run) over the
 // same axes: range(0) = tuples, range(1) = num_threads, range(2) = kernel
-// tier. The evidence scans are what the tier moves; the candidate fan-out
-// is what the thread count moves.
+// tier. The base builds and constant-CFD scans are what the tier moves;
+// the candidate fan-out is what the thread count moves.
 void BM_CfdMine(benchmark::State& state) {
   const size_t tuples = static_cast<size_t>(state.range(0));
   const auto& wl = bench::CachedCustomer(tuples, 0.0, /*seed=*/24);

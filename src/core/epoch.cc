@@ -80,7 +80,8 @@ common::Result<std::vector<cfd::Cfd>> EpochRead::Mine(
   miner.pool = pool;
   miner.simd_level = options.simd_level;
   miner.cancel = options.cancel;
-  return discovery::CfdMiner(&snap->relation, std::move(miner)).Mine();
+  // The epoch's frozen encoding, as is: no re-encode, no row hydration.
+  return discovery::CfdMiner(&*snap->encoded, std::move(miner)).Mine();
 }
 
 }  // namespace semandaq::core

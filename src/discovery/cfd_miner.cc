@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -23,7 +22,6 @@ using cfd::PatternTuple;
 using cfd::PatternValue;
 using relational::Code;
 using relational::kNullCode;
-using relational::Row;
 using relational::TupleId;
 using relational::Value;
 
@@ -49,9 +47,9 @@ void ForEachSubset(size_t n, size_t k,
   }
 }
 
-/// Gather block size for the evidence scans: big enough to amortize the
-/// kernel dispatch, small enough that a candidate failing on its first
-/// tuples stops after one block (a first-conflict early exit at block
+/// Gather block size for the constant scans: big enough to amortize the
+/// kernel dispatch, small enough that a class failing on its first tuples
+/// stops after one block (a first-conflict early exit at block
 /// granularity).
 constexpr size_t kGatherBlock = 1024;
 
@@ -82,116 +80,23 @@ bool ConstantOn(const relational::EncodedRelation& enc, const simd::Kernels& kn,
   return true;
 }
 
-/// Reused gather/mask buffers for one candidate task's evidence scans.
-struct EvidenceScratch {
-  std::vector<std::vector<Code>> lhs_cols;  // gathered LHS code columns
-  std::vector<Code> rhs;                    // gathered RHS codes
-  std::vector<Code> constant;               // ConstantOn's buffer
-  std::vector<uint64_t> mask;
-  std::vector<uint64_t> packed;
-};
-
-/// Does X -> A hold within the conditioning class `cls`, and over how much
-/// evidence (tuples in X-groups of size >= 2)? Class members' X and A
-/// codes gather into dense scratch columns, MaskNeAnd32 builds the
-/// non-NULL eligibility mask, and for |X| == 2 PackKeys2x32 pre-packs the
-/// group keys so the hash grouping runs on one uint64 per tuple. The scan
-/// stops at the first block holding an RHS conflict; (holds, evidence) —
-/// the only outputs — do not depend on where the conflict was seen, and
-/// evidence is only consumed when no conflict exists at all.
-void VariableEvidence(const relational::EncodedRelation& enc,
-                      const simd::Kernels& kn,
-                      const std::vector<TupleId>& cls,
-                      const std::vector<size_t>& lhs, size_t rhs,
-                      EvidenceScratch* s, bool* holds, size_t* evidence) {
-  const size_t n = cls.size();
-  const size_t nlhs = lhs.size();
-  *holds = true;
-  *evidence = 0;
-  if (n == 0) return;
-
-  const size_t block = std::min(n, kGatherBlock);
-  if (s->lhs_cols.size() < nlhs) s->lhs_cols.resize(nlhs);
-  for (size_t k = 0; k < nlhs; ++k) s->lhs_cols[k].resize(block);
-  s->rhs.resize(block);
-  s->mask.resize(simd::MaskWords(block));
-  if (nlhs == 2) s->packed.resize(block);
-  const relational::CodeColumn& rhs_col = enc.column(rhs);
-
-  std::unordered_map<uint64_t, std::pair<Code, int>> groups2;
-  std::unordered_map<std::vector<Code>, std::pair<Code, int>,
-                     relational::CodeVecHash>
-      groups_wide;
-  std::vector<Code> key(nlhs);
-
-  // Blockwise: gather this block's X and A codes into dense scratch
-  // columns, fold the NULL skips into one bitmap with MaskNeAnd32, and
-  // group; the block after a conflict exits, so a failing candidate does
-  // O(block) work.
-  for (size_t lo = 0; lo < n && *holds; lo += kGatherBlock) {
-    const size_t m = std::min(kGatherBlock, n - lo);
-    for (size_t k = 0; k < nlhs; ++k) {
-      const relational::CodeColumn& col = enc.column(lhs[k]);
-      for (size_t i = 0; i < m; ++i) {
-        s->lhs_cols[k][i] = col[static_cast<size_t>(cls[lo + i])];
-      }
-    }
-    for (size_t i = 0; i < m; ++i) {
-      s->rhs[i] = rhs_col[static_cast<size_t>(cls[lo + i])];
-    }
-    const size_t mwords = simd::MaskWords(m);
-    std::fill_n(s->mask.data(), mwords, ~uint64_t{0});
-    if (m % 64 != 0) s->mask[mwords - 1] = ~uint64_t{0} >> (64 - m % 64);
-    for (size_t k = 0; k < nlhs; ++k) {
-      kn.MaskNeAnd32(s->lhs_cols[k].data(), m, kNullCode, s->mask.data());
-    }
-    kn.MaskNeAnd32(s->rhs.data(), m, kNullCode, s->mask.data());
-
-    if (nlhs == 2) {
-      kn.PackKeys2x32(s->lhs_cols[0].data(), s->lhs_cols[1].data(), m,
-                      s->packed.data());
-      simd::ForEachSetBit(s->mask.data(), mwords, [&](size_t i) {
-        if (!*holds) return;
-        auto [it, fresh] =
-            groups2.emplace(s->packed[i], std::make_pair(s->rhs[i], 0));
-        if (!fresh && it->second.first != s->rhs[i]) {
-          *holds = false;
-          return;
-        }
-        ++it->second.second;
-      });
-    } else {
-      simd::ForEachSetBit(s->mask.data(), mwords, [&](size_t i) {
-        if (!*holds) return;
-        for (size_t k = 0; k < nlhs; ++k) key[k] = s->lhs_cols[k][i];
-        auto [it, fresh] = groups_wide.emplace(key, std::make_pair(s->rhs[i], 0));
-        if (!fresh && it->second.first != s->rhs[i]) {
-          *holds = false;
-          return;
-        }
-        ++it->second.second;
-      });
-    }
-  }
-  if (!*holds) return;
-  // Evidence = tuples in groups of size >= 2.
-  for (const auto& [k2, g] : groups2) {
-    if (g.second >= 2) *evidence += static_cast<size_t>(g.second);
-  }
-  for (const auto& [k2, g] : groups_wide) {
-    if (g.second >= 2) *evidence += static_cast<size_t>(g.second);
-  }
-}
-
 }  // namespace
 
+CfdMiner::CfdMiner(const relational::Relation* rel, CfdMinerOptions options)
+    : owned_(std::make_unique<relational::EncodedRelation>(rel, nullptr,
+                                                           options.cancel)),
+      enc_(owned_.get()),
+      options_(options) {}
+
 common::Result<std::vector<Cfd>> CfdMiner::Mine() {
-  const auto& schema = rel_->schema();
+  // A cancel that tripped during the relation-only form's encode left the
+  // codes incomplete: nothing below may read them.
+  SEMANDAQ_RETURN_IF_CANCELLED(options_.cancel);
+  const relational::EncodedRelation& encoded = *enc_;
+  const relational::Relation& rel = encoded.relation();
+  const auto& schema = rel.schema();
   const size_t ncols = schema.size();
   std::vector<Cfd> out;
-
-  // One columnar encode pass feeds every partition and evidence scan below.
-  const relational::EncodedRelation encoded(rel_, nullptr, options_.cancel);
 
   // Lane resolution is shared with the embedded FdMiner run below.
   std::unique_ptr<common::ThreadPool> local_pool;
@@ -204,7 +109,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   // prefixes, and the left-reduction's (k-1)-subsets all sit in the
   // previous generation, so Rotate() after each level keeps residency
   // bounded without forcing rebuilds.
-  PartitionCache cache(rel_, &encoded, options_.simd_level);
+  PartitionCache cache(&rel, &encoded, options_.simd_level);
   if (parallel) cache.BuildBases(ncols, pool);
   const simd::Kernels& kn = simd::KernelsFor(options_.simd_level);
 
@@ -241,7 +146,27 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
                             std::vector<Cfd>* local) {
     if (options_.cancel != nullptr && !options_.cancel->Check().ok()) return;
     const Partition& px = cache.Get(lhs);
-    EvidenceScratch scratch;
+    const size_t nlhs = lhs.size();
+    std::vector<Code> constant_scratch;
+
+    // Variable-CFD bookkeeping. Every stripped class of Π_X sits inside
+    // one class of each Π_C (C ∈ X), a stripped one: cond_class[i][k] is
+    // that class's index in Π_{lhs[i]}.classes() for Π_X class k.
+    // fails/evidence accumulate per conditioning class.
+    const bool mine_variable = options_.mine_variable && nlhs >= 2;
+    std::vector<const Partition*> pcs;
+    std::vector<std::vector<int32_t>> cond_class;
+    std::vector<std::vector<size_t>> fails(nlhs), evidence(nlhs);
+    for (size_t i = 0; mine_variable && i < nlhs; ++i) {
+      const Partition& pc = cache.Get({lhs[i]});
+      pcs.push_back(&pc);
+      std::vector<int32_t>& slots = cond_class.emplace_back();
+      slots.reserve(px.classes().size());
+      for (const auto& cls : px.classes()) {
+        slots.push_back(pc.StrippedIndex(pc.ClassOf(cls.front())));
+      }
+    }
+
     for (size_t rhs = 0; rhs < ncols; ++rhs) {
       if (std::find(lhs.begin(), lhs.end(), rhs) != lhs.end()) continue;
       const bool global = fd_holds_globally(lhs, rhs);
@@ -252,73 +177,98 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
         for (const auto& cls : px.classes()) {
           if (cls.size() < options_.min_support) continue;
           Value shared;
-          if (!ConstantOn(encoded, kn, cls, rhs, &shared, &scratch.constant)) {
+          if (!ConstantOn(encoded, kn, cls, rhs, &shared, &constant_scratch)) {
             continue;
           }
           // Left-reduction: skip when dropping any one LHS attribute
           // still yields a constant class with the same value.
           bool reducible = false;
-          if (lhs.size() > 1) {
-            for (size_t drop = 0; drop < lhs.size() && !reducible; ++drop) {
+          if (nlhs > 1) {
+            for (size_t drop = 0; drop < nlhs && !reducible; ++drop) {
               std::vector<size_t> sub;
-              for (size_t i = 0; i < lhs.size(); ++i) {
+              for (size_t i = 0; i < nlhs; ++i) {
                 if (i != drop) sub.push_back(lhs[i]);
               }
               const Partition& psub = cache.Get(sub);
-              const int32_t cid = psub.ClassOf(cls.front());
-              if (cid < 0) continue;
-              // Find the materialized class (non-singleton) with this id.
-              for (const auto& sup : psub.classes()) {
-                if (psub.ClassOf(sup.front()) != cid) continue;
-                Value sub_shared;
-                if (sup.size() >= options_.min_support &&
-                    ConstantOn(encoded, kn, sup, rhs, &sub_shared,
-                               &scratch.constant) &&
-                    sub_shared == shared) {
-                  reducible = true;
-                }
-                break;
-              }
+              const int32_t si = psub.StrippedIndex(psub.ClassOf(cls.front()));
+              if (si < 0) continue;
+              const auto& sup = psub.classes()[static_cast<size_t>(si)];
+              Value sub_shared;
+              reducible = sup.size() >= options_.min_support &&
+                          ConstantOn(encoded, kn, sup, rhs, &sub_shared,
+                                     &constant_scratch) &&
+                          sub_shared == shared;
             }
           }
           if (reducible) continue;
           PatternTuple pt;
-          const Row& sample = rel_->row(cls.front());
-          for (size_t c : lhs) pt.lhs.push_back(PatternValue::Constant(sample[c]));
+          for (size_t c : lhs) {
+            pt.lhs.push_back(PatternValue::Constant(
+                encoded.Decode(c, encoded.code(cls.front(), c))));
+          }
           pt.rhs = PatternValue::Constant(shared);
           rows.push_back(std::move(pt));
           if (rows.size() >= options_.max_patterns_per_fd) break;
         }
         if (!rows.empty()) {
-          local->emplace_back(rel_->name(), attr_names(lhs),
+          local->emplace_back(rel.name(), attr_names(lhs),
                               schema.attr(rhs).name, std::move(rows));
         }
       }
 
       // ---- Variable CFDs: condition one LHS attribute on a constant.
-      if (options_.mine_variable && !global && lhs.size() >= 2) {
+      if (mine_variable && !global) {
+        // Does X -> A hold within σ_{C=c}? The X-groups there are the Π_X
+        // classes with C = c, restricted to members with a non-NULL A. One
+        // pass over Π_X decides each class: it fails when those members
+        // disagree on A, and its evidence (tuples the conditioned FD
+        // actually constrains) is their count when at least 2. Requiring
+        // min_support *evidence* (not just a populous conditioning class)
+        // is what separates domain rules from sampling coincidences.
+        for (size_t i = 0; i < nlhs; ++i) {
+          fails[i].assign(pcs[i]->classes().size(), 0);
+          evidence[i].assign(pcs[i]->classes().size(), 0);
+        }
+        const relational::CodeColumn& rhs_codes = encoded.column(rhs);
+        for (size_t k = 0; k < px.classes().size(); ++k) {
+          size_t members = 0;
+          Code first = kNullCode;
+          bool disagree = false;
+          for (TupleId t : px.classes()[k]) {
+            const Code code = rhs_codes[static_cast<size_t>(t)];
+            if (code == kNullCode) continue;
+            if (members++ == 0) {
+              first = code;
+            } else if (code != first) {
+              disagree = true;
+            }
+          }
+          if (members < 2) continue;
+          for (size_t i = 0; i < nlhs; ++i) {
+            const auto slot = static_cast<size_t>(cond_class[i][k]);
+            if (disagree) {
+              ++fails[i][slot];
+            } else {
+              evidence[i][slot] += members;
+            }
+          }
+        }
         std::vector<PatternTuple> rows;
-        for (size_t cond = 0; cond < lhs.size() && rows.size() <
-                                                      options_.max_patterns_per_fd;
+        for (size_t cond = 0;
+             cond < nlhs && rows.size() < options_.max_patterns_per_fd;
              ++cond) {
-          const Partition& pc = cache.Get({lhs[cond]});
-          for (const auto& cls : pc.classes()) {
-            if (cls.size() < options_.min_support) continue;
-            // Does X -> A hold within σ_{C=c}? Group the class members by
-            // their full X projection and require constant A per group.
-            // Evidence = tuples sitting in X-groups of size >= 2, i.e. the
-            // tuples the conditioned FD actually constrains. Requiring
-            // min_support *evidence* (not just a populous conditioning
-            // class) is what separates domain rules from sampling
-            // coincidences.
-            bool holds = true;
-            size_t evidence = 0;
-            VariableEvidence(encoded, kn, cls, lhs, rhs, &scratch, &holds,
-                             &evidence);
-            if (!holds || evidence < options_.min_support) continue;
+          const auto& classes = pcs[cond]->classes();
+          for (size_t slot = 0; slot < classes.size(); ++slot) {
+            if (classes[slot].size() < options_.min_support) continue;
+            if (fails[cond][slot] != 0 ||
+                evidence[cond][slot] < options_.min_support) {
+              continue;
+            }
             PatternTuple pt;
-            const Value& c_value = rel_->cell(cls.front(), lhs[cond]);
-            for (size_t i = 0; i < lhs.size(); ++i) {
+            const size_t c = lhs[cond];
+            const Value& c_value =
+                encoded.Decode(c, encoded.code(classes[slot].front(), c));
+            for (size_t i = 0; i < nlhs; ++i) {
               pt.lhs.push_back(i == cond ? PatternValue::Constant(c_value)
                                          : PatternValue::Wildcard());
             }
@@ -328,7 +278,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
           }
         }
         if (!rows.empty()) {
-          local->emplace_back(rel_->name(), attr_names(lhs),
+          local->emplace_back(rel.name(), attr_names(lhs),
                               schema.attr(rhs).name, std::move(rows));
         }
       }
@@ -370,7 +320,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
   FdMinerOptions fd_opts;
   fd_opts.max_lhs = options_.max_lhs;
   fd_opts.cancel = options_.cancel;
-  FdMiner fd_miner(rel_, fd_opts);
+  FdMiner fd_miner(&rel, fd_opts);
   global_fds = fd_miner.Mine(
       &cache, pool, [&](size_t level, const std::vector<DiscoveredFd>& found) {
         global_fds = found;
@@ -387,7 +337,7 @@ common::Result<std::vector<Cfd>> CfdMiner::Mine() {
       PatternTuple pt;
       pt.lhs.assign(fd.lhs_cols.size(), PatternValue::Wildcard());
       pt.rhs = PatternValue::Wildcard();
-      out.emplace_back(rel_->name(), attr_names(fd.lhs_cols),
+      out.emplace_back(rel.name(), attr_names(fd.lhs_cols),
                        schema.attr(fd.rhs_col).name,
                        std::vector<PatternTuple>{std::move(pt)});
     }

@@ -1,12 +1,14 @@
 #ifndef SEMANDAQ_DISCOVERY_CFD_MINER_H_
 #define SEMANDAQ_DISCOVERY_CFD_MINER_H_
 
+#include <memory>
 #include <vector>
 
 #include "cfd/cfd.h"
 #include "common/cancel.h"
 #include "common/simd/simd.h"
 #include "common/status.h"
+#include "relational/encoded_relation.h"
 #include "relational/relation.h"
 
 namespace semandaq::common {
@@ -40,9 +42,9 @@ struct CfdMinerOptions {
   /// powers the base-partition builds and the candidate fan-out,
   /// overriding `num_threads`. Mined output is identical to serial.
   common::ThreadPool* pool = nullptr;
-  /// Kernel tier for partition builds, intersects, and the constant/
-  /// variable evidence scans (kAuto = the host's best). Every tier mines
-  /// the identical output.
+  /// Kernel tier for the base partition builds and the constant-CFD
+  /// evidence scans (kAuto = the host's best). Every tier mines the
+  /// identical output.
   common::simd::Level simd_level = common::simd::Level::kAuto;
   /// Cooperative cancellation (common/cancel.h), checked at level and
   /// candidate boundaries (shared with the embedded FdMiner run). A
@@ -63,25 +65,38 @@ struct CfdMinerOptions {
 ///    already implies the same constant (left-reduction);
 ///  * when X -> A fails globally, each conditioning attribute C in X whose
 ///    value c restricts the data so that X -> A holds on σ_{C=c} with
-///    support >= k yields a variable CFD ([C=c, X\C=_] -> [A=_]).
+///    support >= k yields a variable CFD ([C=c, X\C=_] -> [A=_]). Since
+///    C ∈ X, the X-groups inside σ_{C=c} are classes of Π_X, so one pass
+///    over Π_X's stripped classes per (X, A) decides every (C, c) at once.
 ///
 /// Every emitted CFD holds on the mined instance by construction (the test
 /// suite re-verifies with the detector).
 ///
 /// Like the FD miner, the sweep fans each level's candidate LHS sets out
 /// over a thread pool (one task per candidate, per-candidate result slots,
-/// serial lexicographic emission) and the evidence scans run on the
+/// serial lexicographic emission) and the constant-CFD scans run on the
 /// common::simd kernel tier — output is byte-identical across thread
 /// counts and tiers (tests/parallel_discovery_test).
 class CfdMiner {
  public:
-  explicit CfdMiner(const relational::Relation* rel, CfdMinerOptions options = {})
-      : rel_(rel), options_(options) {}
+  /// Mines `rel`: encodes it once (under `options.cancel`) and mines that
+  /// encoding, as the constructor below does.
+  explicit CfdMiner(const relational::Relation* rel,
+                    CfdMinerOptions options = {});
+
+  /// Mines a borrowed encoding as it stands — an epoch's frozen one
+  /// (core::EpochRead::Mine). Nothing is re-encoded, and pattern constants
+  /// decode from its dictionaries, so the relation's rows are never
+  /// hydrated.
+  explicit CfdMiner(const relational::EncodedRelation* enc,
+                    CfdMinerOptions options = {})
+      : enc_(enc), options_(options) {}
 
   common::Result<std::vector<cfd::Cfd>> Mine();
 
  private:
-  const relational::Relation* rel_;
+  std::unique_ptr<const relational::EncodedRelation> owned_;  // rel-only form
+  const relational::EncodedRelation* enc_;
   CfdMinerOptions options_;
 };
 

@@ -104,53 +104,81 @@ Partition Partition::Build(const relational::EncodedRelation& enc,
   return p;
 }
 
-Partition Partition::Intersect(const Partition& a, const Partition& b,
-                               common::simd::Level level) {
-  namespace simd = common::simd;
+Partition Partition::Intersect(const Partition& a, const Partition& b) {
   Partition p;
   const size_t bound = std::max(a.class_of_.size(), b.class_of_.size());
   p.class_of_.assign(bound, -1);
-  std::unordered_map<uint64_t, int32_t> ids;
-  std::vector<std::vector<TupleId>> members;
 
-  // Beyond the shorter class_of_ array one side is uncovered, so only the
-  // common prefix can contribute. The probe loop runs in kernel blocks:
-  // the int32 class ids reinterpret as uint32 columns (-1 = 0xFFFFFFFF),
-  // MaskNeAnd32 drops the not-covered tuples of either side, and
-  // PackKeys2x32 packs the surviving (class_a, class_b) pairs into the
-  // same 64-bit keys the scalar loop built — first-touch class ids over
-  // the ascending bit order make every tier's result identical.
+  // Group each stripped class of a by its members' class in b. `slot` is
+  // indexed by b's class id: a class walk first counts members per slot,
+  // then marks each slot holding >= 2 of them with -1 - its group's index
+  // (lone members stay product singletons), then files the members; only
+  // the touched slots are reset. A grouped tuple carries its group index
+  // in p.class_of_ until the id pass below.
+  std::vector<int32_t> slot(b.num_classes_, 0);
+  std::vector<int32_t> touched;
+  std::vector<std::vector<TupleId>> groups;
+  for (const auto& cls : a.classes_) {
+    for (TupleId t : cls) {
+      const int32_t cb = b.ClassOf(t);
+      if (cb >= 0 && slot[static_cast<size_t>(cb)]++ == 0) {
+        touched.push_back(cb);
+      }
+    }
+    for (int32_t cb : touched) {
+      int32_t& s = slot[static_cast<size_t>(cb)];
+      if (s >= 2) {
+        groups.emplace_back().reserve(static_cast<size_t>(s));
+        s = -static_cast<int32_t>(groups.size());
+      }
+    }
+    for (TupleId t : cls) {
+      const int32_t cb = b.ClassOf(t);
+      if (cb < 0 || slot[static_cast<size_t>(cb)] >= 0) continue;
+      const int32_t g = -1 - slot[static_cast<size_t>(cb)];
+      groups[static_cast<size_t>(g)].push_back(t);
+      p.class_of_[static_cast<size_t>(t)] = g;
+    }
+    for (int32_t cb : touched) slot[static_cast<size_t>(cb)] = 0;
+    touched.clear();
+  }
+
+  // First-touch class ids, as Build issues them: over the tuples both
+  // sides cover, in tid order, each singleton and each group's first
+  // (lowest) tid opens the next id — so the groups also land in classes_
+  // in id order. Beyond the shorter class_of_ one side covers nothing.
   const size_t common_bound = std::min(a.class_of_.size(), b.class_of_.size());
-  const auto* ca = reinterpret_cast<const uint32_t*>(a.class_of_.data());
-  const auto* cb = reinterpret_cast<const uint32_t*>(b.class_of_.data());
-  constexpr uint32_t kNotCovered = 0xFFFFFFFFu;  // bit pattern of int32 -1
-  constexpr size_t kBlock = 4096;
-  const simd::Kernels& kn = simd::KernelsFor(level);
-  std::vector<uint64_t> mask(simd::MaskWords(kBlock));
-  std::vector<uint64_t> packed(kBlock);
-  for (size_t lo = 0; lo < common_bound; lo += kBlock) {
-    const size_t n = std::min(kBlock, common_bound - lo);
-    const size_t nwords = simd::MaskWords(n);
-    std::fill(mask.begin(), mask.begin() + nwords, ~uint64_t{0});
-    if (n % 64 != 0) mask[nwords - 1] = ~uint64_t{0} >> (64 - n % 64);
-    kn.MaskNeAnd32(ca + lo, n, kNotCovered, mask.data());
-    kn.MaskNeAnd32(cb + lo, n, kNotCovered, mask.data());
-    kn.PackKeys2x32(ca + lo, cb + lo, n, packed.data());
-    simd::ForEachSetBit(mask.data(), nwords, [&](size_t i) {
-      auto [it, fresh] =
-          ids.emplace(packed[i], static_cast<int32_t>(ids.size()));
-      if (fresh) members.emplace_back();
-      members[static_cast<size_t>(it->second)].push_back(
-          static_cast<TupleId>(lo + i));
-      p.class_of_[lo + i] = it->second;
-      ++p.covered_;
-    });
+  std::vector<int32_t> group_id(groups.size(), -1);
+  p.classes_.reserve(groups.size());
+  int32_t next = 0;
+  for (size_t t = 0; t < common_bound; ++t) {
+    if (a.class_of_[t] < 0 || b.class_of_[t] < 0) continue;
+    ++p.covered_;
+    const int32_t g = p.class_of_[t];
+    if (g < 0) {
+      p.class_of_[t] = next++;
+      continue;
+    }
+    int32_t& id = group_id[static_cast<size_t>(g)];
+    if (id < 0) {
+      id = next++;
+      p.classes_.push_back(std::move(groups[static_cast<size_t>(g)]));
+    }
+    p.class_of_[t] = id;
   }
-  p.num_classes_ = ids.size();
-  for (auto& m : members) {
-    if (m.size() >= 2) p.classes_.push_back(std::move(m));
-  }
+  p.num_classes_ = static_cast<size_t>(next);
   return p;
+}
+
+int32_t Partition::StrippedIndex(int32_t cid) const {
+  if (cid < 0) return -1;
+  const auto it = std::lower_bound(
+      classes_.begin(), classes_.end(), cid,
+      [this](const std::vector<TupleId>& cls, int32_t id) {
+        return ClassOf(cls.front()) < id;
+      });
+  if (it == classes_.end() || ClassOf(it->front()) != cid) return -1;
+  return static_cast<int32_t>(it - classes_.begin());
 }
 
 namespace {
@@ -222,7 +250,7 @@ const Partition& PartitionCache::Get(const std::vector<size_t>& cols) {
   std::vector<size_t> prefix(cols.begin(), cols.end() - 1);
   const Partition& pa = Get(prefix);
   const Partition& pb = Get({cols.back()});
-  Partition p = Partition::Intersect(pa, pb, level_);
+  Partition p = Partition::Intersect(pa, pb);
   std::lock_guard<std::mutex> lock(mu_);
   ++builds_;
   return cur_.try_emplace(cols, std::move(p)).first->second;

@@ -39,15 +39,15 @@ class Partition {
                          const std::vector<size_t>& cols,
                          common::simd::Level level = common::simd::Level::kAuto);
 
-  /// Product partition Π_{X ∪ Y} = Π_X · Π_Y from the class ids of both.
-  /// The probe loop runs in kernel blocks on tier `level`: MaskNeAnd32
-  /// filters the not-covered sentinel out of both class-id columns and
-  /// PackKeys2x32 pre-packs the (class_a, class_b) group keys; every tier
-  /// produces the identical partition (first-touch class ids over the same
-  /// bit order).
-  static Partition Intersect(const Partition& a, const Partition& b,
-                             common::simd::Level level =
-                                 common::simd::Level::kAuto);
+  /// Product partition Π_{X ∪ Y} = Π_X · Π_Y from the class ids of both
+  /// — TANE's stripped product. Only a's stripped classes are walked: each
+  /// class's tuples group by b.ClassOf(t) through a dense slot array
+  /// indexed by b's class id (only the touched slots are reset), so no hash
+  /// table is built and no singleton gets a member vector. Every tuple both
+  /// sides cover that is alone in its group, or a singleton of a, is a
+  /// product singleton. One tid-ordered pass then issues the class ids in
+  /// first-touch order, exactly as Build does.
+  static Partition Intersect(const Partition& a, const Partition& b);
 
   /// Number of classes (singletons included).
   size_t num_classes() const { return num_classes_; }
@@ -73,6 +73,11 @@ class Partition {
   const std::vector<std::vector<relational::TupleId>>& classes() const {
     return classes_;
   }
+
+  /// Index into classes() of class `cid`, or -1 when that class is a
+  /// singleton (or `cid` is -1). A binary search: classes() is in
+  /// ascending class-id order.
+  int32_t StrippedIndex(int32_t cid) const;
 
   /// True when this partition refines `other`: every class of this is
   /// contained in one class of `other` (restricted to commonly covered
@@ -130,7 +135,7 @@ class PartitionCache {
  public:
   /// `enc` is borrowed and must be a non-null snapshot of `rel`: every
   /// base partition builds from its code columns. `level` is the kernel
-  /// tier every build and intersect runs on.
+  /// tier the base builds run on.
   PartitionCache(const relational::Relation* rel,
                  const relational::EncodedRelation* enc,
                  common::simd::Level level = common::simd::Level::kAuto)

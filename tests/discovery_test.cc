@@ -1,3 +1,9 @@
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cfd/cfd_parser.h"
@@ -14,7 +20,63 @@ namespace semandaq::discovery {
 namespace {
 
 using relational::Relation;
+using relational::Row;
+using relational::TupleId;
 using relational::Value;
+
+/// A seeded random all-string relation for the property tests. Column c
+/// draws from `domains[c]` values, where 0 means a key (a fresh value per
+/// tuple) and 1 a constant column. About 1 cell in 10 is NULL and 1 tuple
+/// in 8 is deleted afterwards.
+Relation RandomRelation(uint64_t seed, size_t rows,
+                        const std::vector<size_t>& domains) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::string> names;
+  for (size_t c = 0; c < domains.size(); ++c) {
+    names.push_back("C" + std::to_string(c));
+  }
+  Relation rel{"r", relational::Schema::AllStrings(names)};
+  for (size_t i = 0; i < rows; ++i) {
+    Row row;
+    for (size_t domain : domains) {
+      if (rng() % 10 == 0) {
+        row.push_back(Value::Null());
+      } else {
+        const uint64_t v = domain == 0 ? i : rng() % domain;
+        row.push_back(Value::String("v" + std::to_string(v)));
+      }
+    }
+    rel.MustInsert(std::move(row));
+  }
+  for (TupleId t = 0; t < rel.IdBound(); ++t) {
+    if (rng() % 8 == 0) EXPECT_OK(rel.Delete(t));
+  }
+  return rel;
+}
+
+/// Every sorted column set of `ncols` columns with 1..max_size members,
+/// sizes ascending (lexicographic within a size): each set comes after
+/// its prefix.
+std::vector<std::vector<size_t>> ColumnSets(size_t ncols, size_t max_size) {
+  std::vector<std::vector<size_t>> sets;
+  for (size_t mask = 1; mask < (size_t{1} << ncols); ++mask) {
+    std::vector<size_t> cols;
+    for (size_t c = 0; c < ncols; ++c) {
+      if (mask & (size_t{1} << c)) cols.push_back(c);
+    }
+    if (cols.size() <= max_size) sets.push_back(std::move(cols));
+  }
+  std::sort(sets.begin(), sets.end(), [](const auto& a, const auto& b) {
+    return a.size() != b.size() ? a.size() < b.size() : a < b;
+  });
+  return sets;
+}
+
+std::string ColsToString(const std::vector<size_t>& cols) {
+  std::string s;
+  for (size_t c : cols) s += std::to_string(c) + ",";
+  return s;
+}
 
 // -------------------------------------------------------------- Partition --
 
@@ -56,6 +118,59 @@ TEST(PartitionTest, IntersectIsProductPartition) {
   EXPECT_EQ(pab.num_classes(), direct.num_classes());
   EXPECT_EQ(pab.num_tuples(), direct.num_tuples());
   semandaq::testing::BruteForcePartition(rel, {0, 1}).ExpectMatches(pab);
+}
+
+TEST(PartitionTest, IntersectMatchesBruteForceOnEveryPrefixChain) {
+  // A key, a constant, and low-, mid- and high-cardinality columns.
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const size_t rows = 7 * seed;
+    const Relation rel = RandomRelation(seed, rows, {0, 1, 2, 5, rows / 3 + 1});
+    const relational::EncodedRelation enc(&rel);
+    // Every set of up to 4 columns, built the way PartitionCache::Get
+    // builds it: its prefix's partition times its last column's base.
+    std::map<std::vector<size_t>, Partition> built;
+    for (const std::vector<size_t>& cols : ColumnSets(5, 4)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " cols " +
+                   ColsToString(cols));
+      Partition p =
+          cols.size() == 1
+              ? Partition::Build(enc, cols)
+              : Partition::Intersect(
+                    built.at({cols.begin(), cols.end() - 1}),
+                    built.at({cols.back()}));
+      semandaq::testing::BruteForcePartition(rel, cols).ExpectMatches(p);
+      built.emplace(cols, std::move(p));
+    }
+    // The product is symmetric: either operand order gives Π_{a,b}.
+    for (size_t a = 0; a < 5; ++a) {
+      for (size_t b = 0; b < 5; ++b) {
+        if (a == b) continue;
+        SCOPED_TRACE("seed " + std::to_string(seed) + " pair " +
+                     std::to_string(a) + "x" + std::to_string(b));
+        semandaq::testing::BruteForcePartition(rel, {std::min(a, b),
+                                                     std::max(a, b)})
+            .ExpectMatches(Partition::Intersect(built.at({a}), built.at({b})));
+      }
+    }
+  }
+}
+
+TEST(PartitionTest, StrippedIndexFindsEveryStrippedClass) {
+  const Relation rel = RandomRelation(5, 60, {0, 2, 7, 20});
+  const relational::EncodedRelation enc(&rel);
+  for (const std::vector<size_t>& cols : ColumnSets(4, 2)) {
+    const Partition p = Partition::Build(enc, cols);
+    std::vector<int32_t> stripped(p.num_classes(), -1);
+    for (size_t i = 0; i < p.classes().size(); ++i) {
+      stripped[static_cast<size_t>(p.ClassOf(p.classes()[i].front()))] =
+          static_cast<int32_t>(i);
+    }
+    for (size_t cid = 0; cid < p.num_classes(); ++cid) {
+      EXPECT_EQ(p.StrippedIndex(static_cast<int32_t>(cid)), stripped[cid])
+          << ColsToString(cols) << " class " << cid;
+    }
+    EXPECT_EQ(p.StrippedIndex(-1), -1);
+  }
 }
 
 TEST(PartitionTest, RefinesDetectsFd) {
@@ -241,6 +356,142 @@ TEST(CfdMinerTest, MinedConstantsAreLeftReduced) {
             << "left-reducible pattern emitted: " << cfd.ToString();
       }
     }
+  }
+}
+
+/// Does X -> A hold on σ_{C=c}(rel), and over how much evidence? Straight
+/// from the definition: among the live tuples with C = c, no NULL in X
+/// and a non-NULL A, those agreeing on X must agree on A. The evidence is
+/// the number of such tuples that share their X projection with another.
+std::pair<bool, size_t> BruteForceSliceFd(const Relation& rel,
+                                          const std::vector<size_t>& lhs,
+                                          size_t rhs, size_t cond,
+                                          const Value& c) {
+  std::vector<std::pair<Row, std::vector<Value>>> groups;  // X -> A values
+  rel.ForEach([&](TupleId, const Row& row) {
+    if (!(row[cond] == c) || row[rhs].is_null()) return;
+    Row key;
+    for (size_t col : lhs) {
+      if (row[col].is_null()) return;
+      key.push_back(row[col]);
+    }
+    size_t g = 0;
+    while (g < groups.size() && !(groups[g].first == key)) ++g;
+    if (g == groups.size()) groups.emplace_back().first = std::move(key);
+    groups[g].second.push_back(row[rhs]);
+  });
+  bool holds = true;
+  size_t evidence = 0;
+  for (const auto& [key, values] : groups) {
+    for (const Value& v : values) holds = holds && v == values.front();
+    if (values.size() >= 2) evidence += values.size();
+  }
+  return {holds, evidence};
+}
+
+TEST(CfdMinerTest, VariableCfdsMatchTheirDefinition) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const Relation rel = RandomRelation(100 + seed, 30 + 5 * seed,
+                                        {2, 3, 3, 4, 6});
+    CfdMinerOptions options;
+    options.max_lhs = 3;
+    options.min_support = 2 + seed % 2;
+    options.max_patterns_per_fd = seed % 3 == 0 ? 2 : 64;
+    ASSERT_OK_AND_ASSIGN(auto mined, CfdMiner(&rel, options).Mine());
+
+    // The mined variable rows, [C=c, rest=_] -> [_], per embedded FD.
+    std::map<std::string, std::vector<std::string>> got;
+    for (const cfd::Cfd& c : mined) {
+      std::string fd;
+      for (const std::string& a : c.lhs_attrs()) fd += a + ",";
+      fd += "->" + c.rhs_attr();
+      for (const cfd::PatternTuple& pt : c.tableau()) {
+        if (pt.rhs.is_constant()) continue;
+        for (size_t i = 0; i < pt.lhs.size(); ++i) {
+          if (pt.lhs[i].is_constant()) {
+            got[fd].push_back(c.lhs_attrs()[i] + "=" +
+                              pt.lhs[i].constant().ToDisplayString());
+          }
+        }
+      }
+    }
+
+    // The oracle's rows, in the miner's emission order: conditioning
+    // attributes in X order, each one's values in first-touch order, up
+    // to the pattern cap. Only an X -> A that fails globally is
+    // conditioned, and only values with at least min_support tuples.
+    std::map<std::string, std::vector<std::string>> want;
+    const size_t ncols = rel.schema().size();
+    for (const std::vector<size_t>& lhs : ColumnSets(ncols, options.max_lhs)) {
+      if (lhs.size() < 2) continue;
+      for (size_t rhs = 0; rhs < ncols; ++rhs) {
+        if (std::find(lhs.begin(), lhs.end(), rhs) != lhs.end()) continue;
+        if (semandaq::testing::BruteForceFdHolds(rel, lhs, rhs)) continue;
+        std::string fd;
+        for (size_t col : lhs) fd += rel.schema().attr(col).name + ",";
+        fd += "->" + rel.schema().attr(rhs).name;
+        std::vector<std::string> rows;
+        for (size_t cond : lhs) {
+          std::vector<std::pair<Value, size_t>> values;  // first-touch order
+          rel.ForEach([&](TupleId, const Row& row) {
+            if (row[cond].is_null()) return;
+            size_t v = 0;
+            while (v < values.size() && !(values[v].first == row[cond])) ++v;
+            if (v == values.size()) values.emplace_back(row[cond], 0);
+            ++values[v].second;
+          });
+          for (const auto& [value, size] : values) {
+            if (rows.size() >= options.max_patterns_per_fd) break;
+            if (size < options.min_support) continue;
+            const auto [holds, evidence] =
+                BruteForceSliceFd(rel, lhs, rhs, cond, value);
+            if (holds && evidence >= options.min_support) {
+              rows.push_back(rel.schema().attr(cond).name + "=" +
+                             value.ToDisplayString());
+            }
+          }
+        }
+        if (!rows.empty()) want[fd] = std::move(rows);
+      }
+    }
+    EXPECT_EQ(got, want) << "seed " << seed;
+  }
+}
+
+TEST(CfdMinerTest, MinesAnEncodingWithoutHydratingRows) {
+  workload::CustomerWorkloadOptions opts;
+  opts.num_tuples = 500;
+  opts.noise_rate = 0.1;
+  opts.seed = 23;
+  const Relation source = workload::CustomerGenerator::Generate(opts).dirty;
+  const relational::EncodedRelation source_codes(&source);
+
+  // The same tuples behind a deferred row hydrator, as the storage loader
+  // and the epochs hold them, encoded by the same chunks and dictionaries.
+  bool hydrated = false;
+  std::vector<uint8_t> live(source.live_data(),
+                            source.live_data() + source.IdBound());
+  const Relation lazy = Relation::FromStorage(
+      source.name(), source.schema(), std::move(live), [&] {
+        hydrated = true;
+        std::vector<Row> rows;
+        for (TupleId t = 0; t < source.IdBound(); ++t) {
+          rows.push_back(source.row(t));
+        }
+        return rows;
+      });
+  const relational::EncodedRelation codes =
+      relational::EncodedRelation::FromStorage(
+          &lazy, source_codes.dictionaries(), source_codes.columns());
+
+  CfdMinerOptions options;
+  options.min_support = 2;
+  ASSERT_OK_AND_ASSIGN(auto from_codes, CfdMiner(&codes, options).Mine());
+  EXPECT_FALSE(hydrated) << "mining decoded a row";
+  ASSERT_OK_AND_ASSIGN(auto from_rows, CfdMiner(&source, options).Mine());
+  ASSERT_EQ(from_codes.size(), from_rows.size());
+  for (size_t i = 0; i < from_rows.size(); ++i) {
+    EXPECT_EQ(from_codes[i].ToString(), from_rows[i].ToString());
   }
 }
 

@@ -1,6 +1,6 @@
 // Parallel level-wise discovery: FdMiner/CfdMiner fan each lattice level's
 // candidates out over a ThreadPool (FdMinerOptions::num_threads / ::pool)
-// and run their partition builds, intersects, and evidence scans on a SIMD
+// and run their partition builds and constant-CFD scans on a SIMD
 // kernel tier — and the mined output must be IDENTICAL to the serial
 // scalar run — same FDs/CFDs in the same order — for every thread count ×
 // tier combination, because candidates are validated into per-candidate

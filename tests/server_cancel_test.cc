@@ -24,6 +24,7 @@
 #include "server/protocol.h"
 #include "server/service.h"
 #include "server/tcp_server.h"
+#include "slow_mine.h"
 #include "test_util.h"
 
 namespace semandaq::server {
@@ -47,10 +48,11 @@ std::string Call(Client* client, const std::string& command) {
   return response->text;
 }
 
-/// A mine big enough (~hundreds of ms) that a cancel injected a few tens
-/// of ms in lands mid-sweep, not after the fact.
+/// A mine big enough (at least kSlowMineFloorMs on this build) that a
+/// cancel injected a few tens of ms in lands mid-sweep, not after the fact.
 void LoadSlowWorkload(Client* client) {
-  EXPECT_NE(Call(client, "gen customer 30000 10").find("generated customer"),
+  EXPECT_NE(Call(client, testing::SlowMineGenCommand())
+                .find("generated hospital"),
             std::string::npos);
 }
 
@@ -77,7 +79,7 @@ TEST(ServerCancelTest, DeadlineRequestExpiresIntoWireStatus3) {
 
   const auto start = Clock::now();
   ASSERT_OK_AND_ASSIGN(WireResponse resp,
-                       client.CallWithDeadline("mine customer", 50));
+                       client.CallWithDeadline("mine hospital", 50));
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.status, WireStatus::kDeadlineExceeded);
   // The engine checkpoints densely enough that an expired deadline comes
@@ -86,7 +88,7 @@ TEST(ServerCancelTest, DeadlineRequestExpiresIntoWireStatus3) {
 
   // The cancelled mine published nothing: Sigma is still empty, and the
   // same command under no deadline succeeds from scratch.
-  EXPECT_NE(Call(&client, "mine customer").find("mined"), std::string::npos);
+  EXPECT_NE(Call(&client, "mine hospital").find("mined"), std::string::npos);
 
   server.Shutdown();
   server.Wait();
@@ -108,7 +110,7 @@ TEST(ServerCancelTest, CancelFrameStopsAnInFlightMine) {
     EXPECT_OK(client.SendCancel());
   });
   const auto start = Clock::now();
-  ASSERT_OK_AND_ASSIGN(WireResponse resp, client.Call("mine customer"));
+  ASSERT_OK_AND_ASSIGN(WireResponse resp, client.Call("mine hospital"));
   canceller.join();
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.status, WireStatus::kCancelled);
@@ -116,7 +118,7 @@ TEST(ServerCancelTest, CancelFrameStopsAnInFlightMine) {
   EXPECT_TRUE(AwaitCounter(service.stats().cancels, 1));
 
   // The connection stays healthy after a cancelled request.
-  EXPECT_NE(Call(&client, "ls").find("customer"), std::string::npos);
+  EXPECT_NE(Call(&client, "ls").find("hospital"), std::string::npos);
 
   server.Shutdown();
   server.Wait();
@@ -142,7 +144,7 @@ TEST(ServerCancelTest, DeadSocketMidMineCancelsTheEngineWork) {
   addr.sin_port = htons(server.port());
   ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  ASSERT_OK(WriteFrame(fd, "mine customer"));
+  ASSERT_OK(WriteFrame(fd, "mine hospital"));
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   // Vanish mid-request. The watchdog notices the dead fd and cancels the
   // mine instead of letting it run to completion for nobody.
@@ -171,14 +173,14 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
   // the same mine, and the patient client's retry budget has to outlast it
   // on any build (a sanitizer build mines many times slower).
   const auto solo_start = Clock::now();
-  EXPECT_NE(Call(&loader, "mine customer").find("mined"), std::string::npos);
+  EXPECT_NE(Call(&loader, "mine hospital").find("mined"), std::string::npos);
   const int64_t solo_ms = MsSince(solo_start);
 
   // Occupy the one expensive slot...
   std::thread miner([&server] {
     auto client = Client::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(client.ok());
-    auto resp = client->Call("mine customer");
+    auto resp = client->Call("mine hospital");
     EXPECT_TRUE(resp.ok()) << resp.status().ToString();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -186,7 +188,7 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
   // ...so the competing mine is shed with a machine-readable hint.
   ASSERT_OK_AND_ASSIGN(Client rival,
                        Client::Connect("127.0.0.1", server.port()));
-  ASSERT_OK_AND_ASSIGN(WireResponse busy, rival.Call("mine customer"));
+  ASSERT_OK_AND_ASSIGN(WireResponse busy, rival.Call("mine hospital"));
   EXPECT_FALSE(busy.ok);
   EXPECT_EQ(busy.status, WireStatus::kBusy);
   EXPECT_GE(busy.retry_after_ms, 25u);
@@ -194,7 +196,7 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
 
   // Cheap verbs sail past the congested expensive class — the whole point
   // of classed admission.
-  EXPECT_NE(Call(&rival, "ls").find("customer"), std::string::npos);
+  EXPECT_NE(Call(&rival, "ls").find("hospital"), std::string::npos);
 
   // The retrying client honors the hint and lands once the slot frees.
   // Each retry sleeps at least half the 25 ms hint (jitter), so the budget
@@ -206,7 +208,7 @@ TEST(ServerCancelTest, AdmissionShedsWithARetryHintThatWorks) {
       Client patient,
       Client::Connect("127.0.0.1", server.port(), retrying));
   ASSERT_OK_AND_ASSIGN(WireResponse mined,
-                       patient.CallIdempotent("mine customer"));
+                       patient.CallIdempotent("mine hospital"));
   EXPECT_TRUE(mined.ok) << mined.text;
   miner.join();
 

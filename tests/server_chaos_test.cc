@@ -25,6 +25,7 @@
 #include "server/protocol.h"
 #include "server/service.h"
 #include "server/tcp_server.h"
+#include "slow_mine.h"
 #include "test_util.h"
 
 namespace semandaq::server {
@@ -344,7 +345,8 @@ TEST(ServerChaosTest, SlowQueryStormKeepsCheapTrafficAndTheServerAlive) {
   {
     auto seeder = Client::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(seeder.ok());
-    ASSERT_OK_AND_ASSIGN(auto seeded, seeder->Call("gen customer 30000 10"));
+    ASSERT_OK_AND_ASSIGN(auto seeded,
+                         seeder->Call(testing::SlowMineGenCommand()));
     EXPECT_TRUE(seeded.ok) << seeded.text;
   }
 
@@ -366,17 +368,17 @@ TEST(ServerChaosTest, SlowQueryStormKeepsCheapTrafficAndTheServerAlive) {
       common::Result<WireResponse> resp = common::Status::Internal("unset");
       if (m % 3 == 0) {
         // Tight server-side deadline: expires mid-sweep.
-        resp = client->CallWithDeadline("mine customer", 40);
+        resp = client->CallWithDeadline("mine hospital", 40);
       } else if (m % 3 == 1) {
         // Client-initiated cancel mid-flight.
         std::thread canceller([&client] {
           std::this_thread::sleep_for(std::chrono::milliseconds(50));
           (void)client->SendCancel();
         });
-        resp = client->Call("mine customer");
+        resp = client->Call("mine hospital");
         canceller.join();
       } else {
-        resp = client->Call("mine customer");
+        resp = client->Call("mine hospital");
       }
       if (!resp.ok()) {
         ++malformed;  // transport failures are not part of this storm
@@ -407,7 +409,7 @@ TEST(ServerChaosTest, SlowQueryStormKeepsCheapTrafficAndTheServerAlive) {
         return;
       }
       while (!stop.load(std::memory_order_relaxed)) {
-        auto resp = client->CallIdempotent("epoch customer");
+        auto resp = client->CallIdempotent("epoch hospital");
         if (resp.ok() && resp->ok) {
           ++cheap_successes;
         } else {

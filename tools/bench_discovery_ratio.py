@@ -19,7 +19,7 @@ ran after host clamping) and writes back into BENCH_discovery.json under
     threads is the acceptance bar on multi-core CI; a single-core host
     shows pool overhead instead, which the artifact records honestly).
   * scalar_over_vector: time(scalar) / time(best vector tier) at
-    threads=1 — the evidence-scan/intersect kernel win.
+    threads=1 — the partition-build/constant-scan kernel win.
 
 Exits nonzero only on malformed input — shared CI runners are too noisy
 for a hard perf gate; acceptance is judged from the recorded artifact.
